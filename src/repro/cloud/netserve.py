@@ -123,7 +123,10 @@ from repro.obs import (
     merge_dumps,
     render_prometheus,
 )
-from repro.obs.trace import NOOP_TRACER, FakeClock, Tracer
+from repro.obs.trace import NOOP_SPAN, NOOP_TRACER, FakeClock, Tracer
+
+#: Upper bound on each step of the start-up loopback warm-up.
+_WARM_UP_TIMEOUT_S = 5.0
 
 #: Default per-connection in-flight window (requests admitted but not
 #: yet answered before the server stops reading that socket).
@@ -710,6 +713,7 @@ class NetServer:
         loop = asyncio.get_running_loop()
         for handle in self._workers:
             handle.start_reader(loop)
+        await self._warm_up(server.sockets[0].getsockname()[0])
         ready.set()
         async with server:
             await self._stop_event.wait()
@@ -727,6 +731,37 @@ class NetServer:
             task.cancel()
         if leftovers:
             await asyncio.gather(*leftovers, return_exceptions=True)
+
+    async def _warm_up(self, host: str) -> None:
+        """Serve one malformed frame over loopback before going ready.
+
+        Forking the workers leaves every page of this process shared
+        copy-on-write, so the first request would pay a page copy for
+        each page the accept → decode → write path touches (hundreds
+        of faults, milliseconds on a virtualized host) before its root
+        span opens.  A frame that fails codec detection walks that
+        path without reaching a worker, a request counter or a span.
+        Best effort: a failed warm-up only leaves the cost in place.
+        """
+        try:
+            reader, writer = await asyncio.wait_for(
+                asyncio.open_connection(host, self._bound_port),
+                _WARM_UP_TIMEOUT_S,
+            )
+        except (OSError, asyncio.TimeoutError):
+            return
+        try:
+            writer.write(encode_frame(b"\x00", self._max_frame))
+            await writer.drain()
+            # The error response, or EOF.
+            await asyncio.wait_for(reader.read(65536), _WARM_UP_TIMEOUT_S)
+        except (OSError, asyncio.TimeoutError):
+            pass
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except OSError:
+            pass
 
     def close(self) -> None:
         """Stop serving and reap every worker process (idempotent)."""
@@ -894,52 +929,76 @@ class NetServer:
     async def _write_loop(
         self, responses: asyncio.Queue, writer: asyncio.StreamWriter
     ) -> None:
-        """Drain response tasks in admission order (pipelining)."""
+        """Drain response tasks in admission order (pipelining).
+
+        A request's ``net.request`` span closes here, once its response
+        is written, so the root span owns the frame encode, the socket
+        write and the drain as well as the routing.  After a failed
+        write the loop keeps draining without writing, so every
+        admitted request's span is still recorded.
+        """
+        connected = True
         while True:
             task = await responses.get()
             if task is None:
                 return
-            payload = await task
+            payload, span = await task
             try:
-                writer.write(encode_frame(payload, self._max_frame))
-                await writer.drain()
+                if connected:
+                    writer.write(encode_frame(payload, self._max_frame))
+                    await writer.drain()
             except (ConnectionError, OSError):
-                return
+                connected = False
+            finally:
+                span.finish()
 
-    async def _serve_one(
-        self, frame: bytes, window: asyncio.Semaphore
-    ) -> bytes:
-        """Serve one admitted frame; always returns response bytes."""
+    async def _serve_one(self, frame: bytes, window: asyncio.Semaphore):
+        """Serve one frame: ``(response bytes, its open root span)``.
+
+        The ``net.request`` span opens as soon as the frame is admitted
+        and is left open for :meth:`_write_loop` to close after the
+        write; frames that are not admitted carry the no-op span.
+        """
         try:
             try:
                 codec = detect_codec(frame)
                 kind = peek_kind(frame)
             except ProtocolError as exc:
-                return ErrorResponse(
-                    code="ProtocolError", detail=str(exc)
-                ).to_bytes()
+                return (
+                    ErrorResponse(
+                        code="ProtocolError", detail=str(exc)
+                    ).to_bytes(),
+                    NOOP_SPAN,
+                )
             if kind == "admin":
                 # Out-of-band: no admission control, no request
                 # counters, no tracing.  A scrape must work *during*
                 # overload, and observing the server must not perturb
                 # what it observes (two back-to-back scrapes of an
                 # idle server are byte-identical).
-                return await self._admin(frame, codec)
+                return await self._admin(frame, codec), NOOP_SPAN
             if self._inflight >= self._max_depth:
                 self._observe_overload()
-                return ErrorResponse(
-                    code="ServerOverloadedError",
-                    detail=(
-                        f"queue depth {self._inflight} at its high-water "
-                        f"mark ({self._max_depth}); retry with backoff"
-                    ),
-                ).to_bytes(codec)
+                return (
+                    ErrorResponse(
+                        code="ServerOverloadedError",
+                        detail=(
+                            f"queue depth {self._inflight} at its "
+                            f"high-water mark ({self._max_depth}); "
+                            "retry with backoff"
+                        ),
+                    ).to_bytes(codec),
+                    NOOP_SPAN,
+                )
             self._inflight += 1
-            self._observe_admitted(kind)
+            span = self._tracer.span("net.request", kind=kind)
             try:
-                with self._tracer.span("net.request", kind=kind) as span:
-                    response = await self._route(frame, codec, kind, span)
-                return response
+                self._observe_admitted(kind)
+                return await self._route(frame, codec, kind, span), span
+            except BaseException as exc:
+                span.set(error=type(exc).__name__)
+                span.finish()
+                raise
             finally:
                 self._inflight -= 1
         finally:

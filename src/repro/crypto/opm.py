@@ -25,13 +25,16 @@ Fast path
 Mapping a posting list is the dominant cost of index construction
 (Table I), and almost all of it is redundant: every descent under one
 key shares binary-search prefix states, and every in-bucket choice
-re-keys an HMAC that depends only on the key.  The cached regime
-therefore shares a **split-tree cache** across descents (each distinct
+and split draw would re-key an HMAC that depends only on the key.  Each
+instance therefore keys one :class:`~repro.crypto.tape.KeyedTape` and
+passes it to every split draw and in-bucket choice.  The cached regime
+also shares a **split-tree cache** across descents (each distinct
 recursion state pays its HGD draw once — a ~5x reduction for a full
-keyword build at paper parameters), pre-encodes the
-static choice-context prefix per score level, and draws the in-bucket
-point through a pre-keyed :class:`~repro.crypto.tape.KeyedTape` — one
-HMAC block per entry.  :meth:`OneToManyOpm.buckets_table` and
+keyword build at paper parameters) and pre-encodes the static
+choice-context prefix per score level, so
+:meth:`OneToManyOpm.map_scores` resolves each distinct level of a list
+once and then spends one seed concatenation and one HMAC block per
+entry.  :meth:`OneToManyOpm.buckets_table` and
 :meth:`OneToManyOpm.map_scores` expose the batch shape directly.  None
 of this changes a single output byte (golden-vector and fast≡naive
 property tests pin the equivalence); ``cache_buckets=False`` disables
@@ -52,7 +55,7 @@ from repro.crypto.opse import (
     plaintext_for_ciphertext,
 )
 from repro.crypto.stats import MappingStats
-from repro.crypto.tape import KeyedTape, encode_context
+from repro.crypto.tape import KeyedTape, encode_bytes, encode_context
 from repro.errors import ParameterError
 
 _CHOICE_TAG = 1
@@ -105,16 +108,14 @@ class OneToManyOpm:
             raise ParameterError(
                 f"range size {range_size} must be >= domain size {domain_size}"
             )
-        self._key = bytes(key)
         self._domain = Interval(1, domain_size)
         self._range = Interval(1, range_size)
-        self._tape = KeyedTape(self._key)
+        self._tape = KeyedTape(key)
         # Observability hook: a build that spans many per-term OPMs can
         # hand every instance one shared MappingStats so the whole
         # build's work counters accumulate in one place (sound only for
         # sequential use — increments are unlocked by design).
         self.stats = stats if stats is not None else MappingStats()
-        self._cached = bool(cache_buckets)
         self._bucket_cache: dict[int, BucketResult] | None = (
             {} if cache_buckets else None
         )
@@ -154,7 +155,7 @@ class OneToManyOpm:
                 return cached
             self.stats.bucket_cache_misses += 1
         result = bucket_for_plaintext(
-            self._key,
+            self._tape,
             self._domain,
             self._range,
             score,
@@ -165,28 +166,21 @@ class OneToManyOpm:
             self._bucket_cache[score] = result
         return result
 
-    def _choice_seed(self, result: BucketResult, file_id: bytes) -> bytes:
-        """Seed of the choice tape ``TapeGen(K, (D, R, 1 || m, id))``.
+    def _choice_prefix(self, result: BucketResult) -> bytes:
+        """Static prefix of the choice seed ``TapeGen(K, (D, R, 1 || m, id))``.
 
-        The context prefix ``(bucket.low, bucket.high, 1, m)`` is
-        static per score level; the cached regime encodes it once and
-        appends only the file-id part (``encode_context`` concatenates
+        The context prefix ``(bucket.low, bucket.high, 1, m)`` depends
+        only on the score level; the cached regime encodes it once.
+        Callers append the file-id part (``encode_context`` concatenates
         per-part encodings, so the spliced seed is byte-identical to
         encoding the full tuple).
         """
-        if self._prefix_cache is not None:
-            prefix = self._prefix_cache.get(result.plaintext)
-            if prefix is None:
-                prefix = encode_context(
-                    (
-                        result.bucket.low,
-                        result.bucket.high,
-                        _CHOICE_TAG,
-                        result.plaintext,
-                    )
-                )
-                self._prefix_cache[result.plaintext] = prefix
-        else:
+        prefix = (
+            self._prefix_cache.get(result.plaintext)
+            if self._prefix_cache is not None
+            else None
+        )
+        if prefix is None:
             prefix = encode_context(
                 (
                     result.bucket.low,
@@ -195,7 +189,9 @@ class OneToManyOpm:
                     result.plaintext,
                 )
             )
-        return prefix + encode_context((file_id,))
+            if self._prefix_cache is not None:
+                self._prefix_cache[result.plaintext] = prefix
+        return prefix
 
     def map_score(self, score: int, file_id: bytes | str) -> int:
         """Map ``(score, file_id)`` to a range point (Algorithm 1).
@@ -208,7 +204,7 @@ class OneToManyOpm:
         if isinstance(file_id, str):
             file_id = file_id.encode("utf-8")
         result = self._descend(score)
-        seed = self._choice_seed(result, bytes(file_id))
+        seed = self._choice_prefix(result) + encode_bytes(file_id)
         return self._tape.choice(
             seed, result.bucket.low, result.bucket.high, self.stats
         )
@@ -227,7 +223,7 @@ class OneToManyOpm:
             self._split_cache if self._split_cache is not None else {}
         )
         table = bucket_table(
-            self._key, self._domain, self._range, split_cache, self.stats
+            self._tape, self._domain, self._range, split_cache, self.stats
         )
         if self._bucket_cache is not None:
             self._bucket_cache.update(table)
@@ -238,72 +234,59 @@ class OneToManyOpm:
     ) -> list[int]:
         """Batch :meth:`map_score` over ``(score, file_id)`` pairs.
 
-        One shared split tree serves every descent of the batch and
-        each entry pays one pre-keyed HMAC block for its in-bucket
-        choice, so per-entry cost is O(1) after the first occurrence of
-        each score level.  Returns the mapped values in input order;
-        output is byte-identical to calling :meth:`map_score` per pair.
+        Each distinct score level of the batch is resolved once — its
+        bucket (one shared split tree serves every descent) and its
+        choice-seed prefix — so each entry then costs one seed
+        concatenation and one pre-keyed HMAC block for its in-bucket
+        choice.  Returns the mapped values in input order; output and
+        :attr:`stats` are identical to calling :meth:`map_score` per
+        pair (a repeated level counts as a bucket-cache hit either way).
 
         In the uncached regime the shared state is ephemeral to the
         call (a batch is "one tree walk" by definition), keeping the
         per-call :meth:`map_score` cost probe honest.
         """
-        normalized: list[tuple[int, bytes]] = []
+        split_cache = self._split_cache if self._split_cache is not None else {}
+        bucket_cache = (
+            self._bucket_cache if self._bucket_cache is not None else {}
+        )
+        stats = self.stats
+        choice = self._tape.choice
+        levels: dict[int, tuple[bytes, int, int]] = {}
+        values: list[int] = []
         for score, file_id in items:
             if isinstance(file_id, str):
                 file_id = file_id.encode("utf-8")
-            normalized.append((score, bytes(file_id)))
-        if not normalized:
-            return []
-        if self._cached:
-            values = []
-            for score, file_id in normalized:
-                result = self._descend(score)
-                values.append(
-                    self._tape.choice(
-                        self._choice_seed(result, file_id),
-                        result.bucket.low,
-                        result.bucket.high,
-                        self.stats,
+            level = levels.get(score)
+            if level is None:
+                result = bucket_cache.get(score)
+                if result is None:
+                    stats.bucket_cache_misses += 1
+                    result = bucket_for_plaintext(
+                        self._tape,
+                        self._domain,
+                        self._range,
+                        score,
+                        split_cache,
+                        stats,
                     )
-                )
-            return values
-        split_cache: SplitCache = {}
-        bucket_cache: dict[int, BucketResult] = {}
-        prefix_cache: dict[int, bytes] = {}
-        values: list[int] = []
-        for score, file_id in normalized:
-            result = bucket_cache.get(score)
-            if result is None:
-                self.stats.bucket_cache_misses += 1
-                result = bucket_for_plaintext(
-                    self._key,
-                    self._domain,
-                    self._range,
-                    score,
-                    split_cache,
-                    self.stats,
-                )
-                bucket_cache[score] = result
-            else:
-                self.stats.bucket_cache_hits += 1
-            prefix = prefix_cache.get(score)
-            if prefix is None:
-                prefix = encode_context(
-                    (
-                        result.bucket.low,
-                        result.bucket.high,
-                        _CHOICE_TAG,
-                        result.plaintext,
-                    )
-                )
-                prefix_cache[score] = prefix
-            values.append(
-                self._tape.choice(
-                    prefix + encode_context((file_id,)),
+                    bucket_cache[score] = result
+                else:
+                    stats.bucket_cache_hits += 1
+                level = levels[score] = (
+                    self._choice_prefix(result),
                     result.bucket.low,
                     result.bucket.high,
-                    self.stats,
+                )
+            else:
+                stats.bucket_cache_hits += 1
+            prefix, low, high = level
+            values.append(
+                choice(
+                    prefix + encode_bytes(file_id),
+                    low,
+                    high,
+                    stats,
                 )
             )
         return values
@@ -316,7 +299,7 @@ class OneToManyOpm:
         maintenance and the test suite uses it to check correctness.
         """
         result = plaintext_for_ciphertext(
-            self._key,
+            self._tape,
             self._domain,
             self._range,
             ciphertext,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from repro.crypto.hgd import hgd_sample
 from repro.crypto.stats import MappingStats
-from repro.crypto.tape import CoinStream, KeyedTape, encode_context
+from repro.crypto.tape import KeyedTape, encode_context
 from repro.errors import DomainError, ParameterError, RangeError
 
 #: Tag bits distinguishing the two tape uses in Algorithm 1: ``0 || y``
@@ -92,45 +92,51 @@ class BucketResult:
     rounds: int
 
 
-def _search_coins(key: bytes, domain: Interval, range_: Interval, y: int) -> CoinStream:
-    """Coins for the binary-search split: ``TapeGen(K, (D, R, 0 || y))``."""
-    return CoinStream(
-        key,
-        (domain.low, domain.high, range_.low, range_.high, _SEARCH_TAG, y),
-    )
+def _as_tape(key: KeyedTape | bytes) -> KeyedTape:
+    """The caller's :class:`KeyedTape`, or one keyed from raw key bytes."""
+    return key if isinstance(key, KeyedTape) else KeyedTape(key)
 
 
 def _split(
-    key: bytes,
-    domain: Interval,
-    range_: Interval,
+    tape: KeyedTape,
+    d_low: int,
+    d_high: int,
+    r_low: int,
+    r_high: int,
     split_cache: SplitCache | None = None,
     stats: MappingStats | None = None,
 ) -> tuple[int, int]:
-    """Perform one keyed binary-search round; return ``(x, y)``.
+    """One keyed binary-search round on ``D = [d_low, d_high]``,
+    ``R = [r_low, r_high]``; return ``(x, y)``.
 
     ``y`` is the range midpoint and ``x`` the keyed-pseudo-random count
     of domain points mapped at or below ``y`` (absolute coordinates, as
-    in the paper's ``x <- d + HYGEINV(...)``).
+    in the paper's ``x <- d + HYGEINV(...)``), drawn from the coins
+    ``TapeGen(K, (D, R, 0 || y))``.  Bounds travel as plain integers:
+    the descents run this once per round, and every round's intervals
+    are valid by construction.
 
-    The result is a pure function of ``(key, domain, range_)``; with a
-    ``split_cache`` (owned by the caller, private to ``key``) repeated
-    states skip the HGD draw entirely and return the identical pair.
+    The result is a pure function of ``(key, D, R)``; with a
+    ``split_cache`` (owned by the caller, private to the tape's key)
+    repeated states skip the HGD draw entirely and return the identical
+    pair.
     """
     if split_cache is not None:
-        state = (domain.low, domain.high, range_.low, range_.high)
+        state = (d_low, d_high, r_low, r_high)
         hit = split_cache.get(state)
         if hit is not None:
             if stats is not None:
                 stats.split_cache_hits += 1
             return hit
-    d = domain.low - 1
-    r = range_.low - 1
-    big_m = domain.size
-    big_n = range_.size
-    y = r + big_n // 2
-    coins = _search_coins(key, domain, range_, y)
-    x = d + hgd_sample(coins, population=big_n, successes=big_m, draws=y - r)
+    big_n = r_high - r_low + 1
+    y = r_low - 1 + big_n // 2
+    coins = tape.stream((d_low, d_high, r_low, r_high, _SEARCH_TAG, y))
+    x = d_low - 1 + hgd_sample(
+        coins,
+        population=big_n,
+        successes=d_high - d_low + 1,
+        draws=big_n // 2,
+    )
     if stats is not None:
         stats.hgd_draws += 1
     if split_cache is not None:
@@ -139,7 +145,7 @@ def _split(
 
 
 def bucket_for_plaintext(
-    key: bytes,
+    key: KeyedTape | bytes,
     domain: Interval,
     range_: Interval,
     plaintext: int,
@@ -148,8 +154,11 @@ def bucket_for_plaintext(
 ) -> BucketResult:
     """Descend the keyed binary search by plaintext; return its bucket.
 
-    This is the ``while |D| != 1`` loop of Algorithm 1.
+    This is the ``while |D| != 1`` loop of Algorithm 1.  ``key`` is the
+    caller's :class:`KeyedTape` (keyed once for all its descents) or
+    the raw key bytes; the two give identical buckets.
     """
+    tape = _as_tape(key)
     if domain.size > range_.size:
         raise ParameterError(
             f"domain size {domain.size} exceeds range size {range_.size}"
@@ -160,21 +169,23 @@ def bucket_for_plaintext(
         )
     if stats is not None:
         stats.descents += 1
+    d_low, d_high = domain.low, domain.high
+    r_low, r_high = range_.low, range_.high
     rounds = 0
-    while domain.size != 1:
-        x, y = _split(key, domain, range_, split_cache, stats)
+    while d_low != d_high:
+        x, y = _split(tape, d_low, d_high, r_low, r_high, split_cache, stats)
         rounds += 1
         if plaintext <= x:
-            domain = Interval(domain.low, x)
-            range_ = Interval(range_.low, y)
+            d_high, r_high = x, y
         else:
-            domain = Interval(x + 1, domain.high)
-            range_ = Interval(y + 1, range_.high)
-    return BucketResult(plaintext=domain.low, bucket=range_, rounds=rounds)
+            d_low, r_low = x + 1, y + 1
+    return BucketResult(
+        plaintext=d_low, bucket=Interval(r_low, r_high), rounds=rounds
+    )
 
 
 def plaintext_for_ciphertext(
-    key: bytes,
+    key: KeyedTape | bytes,
     domain: Interval,
     range_: Interval,
     ciphertext: int,
@@ -187,8 +198,11 @@ def plaintext_for_ciphertext(
     state, descending by ``c <= y`` reproduces exactly the path that
     :func:`bucket_for_plaintext` takes for the plaintext whose bucket
     contains ``c``.  This works for *any* point of the bucket, which is
-    what makes the one-to-many mapping invertible.
+    what makes the one-to-many mapping invertible.  ``key`` is a
+    :class:`KeyedTape` or raw key bytes, as for
+    :func:`bucket_for_plaintext`.
     """
+    tape = _as_tape(key)
     if domain.size > range_.size:
         raise ParameterError(
             f"domain size {domain.size} exceeds range size {range_.size}"
@@ -199,28 +213,29 @@ def plaintext_for_ciphertext(
         )
     if stats is not None:
         stats.descents += 1
+    d_low, d_high = domain.low, domain.high
+    r_low, r_high = range_.low, range_.high
     rounds = 0
-    while domain.size != 1:
-        x, y = _split(key, domain, range_, split_cache, stats)
+    while d_low != d_high:
+        x, y = _split(tape, d_low, d_high, r_low, r_high, split_cache, stats)
         rounds += 1
         if ciphertext <= y:
-            new_low, new_high = domain.low, x
-            range_ = Interval(range_.low, y)
+            d_high, r_high = x, y
         else:
-            new_low, new_high = x + 1, domain.high
-            range_ = Interval(y + 1, range_.high)
-        if new_high < new_low:
+            d_low, r_low = x + 1, y + 1
+        if d_high < d_low:
             # The ciphertext fell into slack range space that no domain
             # point occupies; it is not in any plaintext's bucket.
             raise RangeError(
                 f"ciphertext {ciphertext} does not belong to any plaintext bucket"
             )
-        domain = Interval(new_low, new_high)
-    return BucketResult(plaintext=domain.low, bucket=range_, rounds=rounds)
+    return BucketResult(
+        plaintext=d_low, bucket=Interval(r_low, r_high), rounds=rounds
+    )
 
 
 def bucket_table(
-    key: bytes,
+    key: KeyedTape | bytes,
     domain: Interval,
     range_: Interval,
     split_cache: SplitCache | None = None,
@@ -236,40 +251,30 @@ def bucket_table(
     ``8.3 M`` draws for ``M`` independent descents.  Each returned
     :attr:`BucketResult.rounds` equals the plaintext's tree depth,
     which is exactly what :func:`bucket_for_plaintext` would report.
+    ``key`` is a :class:`KeyedTape` or raw key bytes.
     """
+    tape = _as_tape(key)
     if domain.size > range_.size:
         raise ParameterError(
             f"domain size {domain.size} exceeds range size {range_.size}"
         )
     table: dict[int, BucketResult] = {}
-    stack: list[tuple[Interval, Interval, int]] = [(domain, range_, 0)]
+    stack = [(domain.low, domain.high, range_.low, range_.high, 0)]
     while stack:
-        sub_domain, sub_range, depth = stack.pop()
-        if sub_domain.size == 1:
-            table[sub_domain.low] = BucketResult(
-                plaintext=sub_domain.low, bucket=sub_range, rounds=depth
+        d_low, d_high, r_low, r_high, depth = stack.pop()
+        if d_low == d_high:
+            table[d_low] = BucketResult(
+                plaintext=d_low, bucket=Interval(r_low, r_high), rounds=depth
             )
             continue
-        x, y = _split(key, sub_domain, sub_range, split_cache, stats)
+        x, y = _split(tape, d_low, d_high, r_low, r_high, split_cache, stats)
         # A split may push every domain point to one side (the other
         # side is pure range slack, holding no buckets) — only descend
         # into halves that still contain domain points.
-        if x >= sub_domain.low:
-            stack.append(
-                (
-                    Interval(sub_domain.low, x),
-                    Interval(sub_range.low, y),
-                    depth + 1,
-                )
-            )
-        if x < sub_domain.high:
-            stack.append(
-                (
-                    Interval(x + 1, sub_domain.high),
-                    Interval(y + 1, sub_range.high),
-                    depth + 1,
-                )
-            )
+        if x >= d_low:
+            stack.append((d_low, x, r_low, y, depth + 1))
+        if x < d_high:
+            stack.append((x + 1, d_high, y + 1, r_high, depth + 1))
     return table
 
 
@@ -315,11 +320,10 @@ class OrderPreservingEncryption:
             raise ParameterError(
                 f"range size {range_size} must be >= domain size {domain_size}"
             )
-        self._key = bytes(key)
         self._domain = Interval(1, domain_size)
         self._range = Interval(1, range_size)
         self._split_cache: SplitCache | None = {} if cache_splits else None
-        self._tape = KeyedTape(self._key)
+        self._tape = KeyedTape(key)
         self.stats = MappingStats()
 
     @property
@@ -335,7 +339,7 @@ class OrderPreservingEncryption:
     def bucket(self, plaintext: int) -> Interval:
         """Return the range interval assigned to ``plaintext``."""
         return bucket_for_plaintext(
-            self._key,
+            self._tape,
             self._domain,
             self._range,
             plaintext,
@@ -346,7 +350,7 @@ class OrderPreservingEncryption:
     def bucket_table(self) -> dict[int, Interval]:
         """Every plaintext's bucket via one walk of the split tree."""
         table = bucket_table(
-            self._key,
+            self._tape,
             self._domain,
             self._range,
             self._split_cache if self._split_cache is not None else {},
@@ -364,7 +368,7 @@ class OrderPreservingEncryption:
         always selects the same point.
         """
         result = bucket_for_plaintext(
-            self._key,
+            self._tape,
             self._domain,
             self._range,
             plaintext,
@@ -393,7 +397,7 @@ class OrderPreservingEncryption:
         semantics, used by the one-to-many mapping).
         """
         result = plaintext_for_ciphertext(
-            self._key,
+            self._tape,
             self._domain,
             self._range,
             ciphertext,

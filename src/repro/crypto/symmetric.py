@@ -7,13 +7,21 @@ provides an authenticated, randomized cipher built entirely from
 standard-library primitives (HMAC-SHA256), so the core package needs no
 third-party dependency:
 
+* sub-keys: ``enc``, ``mac`` and ``siv`` keys are ``HMAC(key, label)``
+  for distinct labels (domain separation);
 * keystream: ``HMAC(enc_key, nonce || counter)`` blocks (CTR mode over
-  a PRF — IND$-CPA under the PRF assumption);
-* integrity: encrypt-then-MAC with an independent MAC key derived from
-  the master key;
+  a PRF — IND$-CPA under the PRF assumption), XORed into the plaintext
+  as one big integer;
+* integrity: encrypt-then-MAC, ``HMAC(mac_key, nonce || body)``
+  truncated to 16 bytes;
 * a fresh random nonce per encryption makes the scheme randomized, so
   equal plaintexts yield unlinkable ciphertexts (the property whose
   *absence* in OPSE motivates the paper's one-to-many mapping).
+
+Each sub-key is keyed once, at construction, as a
+:class:`~repro.crypto.prekeyed.PrekeyedHmac`; a keystream block, MAC or
+SIV nonce then costs two SHA-256 state copies and finishes instead of a
+fresh HMAC keying.
 
 Fixed-width integer helpers are provided for score encryption, since
 posting-list entries must be equal-sized for the padding in Fig. 3 to
@@ -22,32 +30,38 @@ hide which entries are real.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 import os
+from functools import cached_property
 
+from repro.crypto.prekeyed import PrekeyedHmac
 from repro.errors import CryptoError, IntegrityError, ParameterError
 
-_DIGEST = hashlib.sha256
-_BLOCK_BYTES = _DIGEST().digest_size
+_BLOCK_BYTES = 32
 _NONCE_BYTES = 16
 _TAG_BYTES = 16
 
 
-def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
-    blocks = []
-    produced = 0
-    counter = 0
-    while produced < length:
-        block = hmac.new(key, nonce + counter.to_bytes(8, "big"), _DIGEST).digest()
-        blocks.append(block)
-        produced += len(block)
-        counter += 1
+def _keystream(mac: PrekeyedHmac, nonce: bytes, length: int) -> bytes:
+    digest = mac.digest
+    blocks = [
+        digest(nonce + counter.to_bytes(8, "big"))
+        for counter in range(-(-length // _BLOCK_BYTES))
+    ]
     return b"".join(blocks)[:length]
 
 
-def _xor(data: bytes, mask: bytes) -> bytes:
-    return bytes(a ^ b for a, b in zip(data, mask))
+def xor_bytes(data: bytes, mask: bytes) -> bytes:
+    """``data XOR mask`` over their first ``min(len(data), len(mask))`` bytes.
+
+    One big-integer XOR instead of a per-byte loop; the truncation to
+    the shorter operand is the same as ``zip``'s.
+    """
+    length = min(len(data), len(mask))
+    mixed = int.from_bytes(data[:length], "big") ^ int.from_bytes(
+        mask[:length], "big"
+    )
+    return mixed.to_bytes(length, "big")
 
 
 class SymmetricCipher:
@@ -72,10 +86,15 @@ class SymmetricCipher:
     def __init__(self, key: bytes):
         if not key:
             raise ParameterError("cipher key must be non-empty")
-        key = bytes(key)
-        self._enc_key = hmac.new(key, b"cipher|enc", _DIGEST).digest()
-        self._mac_key = hmac.new(key, b"cipher|mac", _DIGEST).digest()
-        self._siv_key = hmac.new(key, b"cipher|siv", _DIGEST).digest()
+        self._master = PrekeyedHmac(key)
+        self._enc = PrekeyedHmac(self._master.digest(b"cipher|enc"))
+        self._mac = PrekeyedHmac(self._master.digest(b"cipher|mac"))
+
+    @cached_property
+    def _siv(self) -> PrekeyedHmac:
+        # Keyed on first use: decrypt-only ciphers (one per posting list
+        # a search decrypts) never pay for it.
+        return PrekeyedHmac(self._master.digest(b"cipher|siv"))
 
     def encrypt(self, plaintext: bytes, nonce: bytes | None = None) -> bytes:
         """Encrypt and authenticate ``plaintext``.
@@ -90,8 +109,9 @@ class SymmetricCipher:
             raise ParameterError(
                 f"nonce must be {_NONCE_BYTES} bytes, got {len(nonce)}"
             )
-        body = _xor(bytes(plaintext), _keystream(self._enc_key, nonce, len(plaintext)))
-        tag = hmac.new(self._mac_key, nonce + body, _DIGEST).digest()[:_TAG_BYTES]
+        plaintext = bytes(plaintext)
+        body = xor_bytes(plaintext, _keystream(self._enc, nonce, len(plaintext)))
+        tag = self._mac.digest(nonce + body)[:_TAG_BYTES]
         return nonce + body + tag
 
     def deterministic_nonce(self, plaintext: bytes) -> bytes:
@@ -102,9 +122,7 @@ class SymmetricCipher:
         security), and equal plaintexts map to equal nonces — the
         misuse-resistant "synthetic IV" construction.
         """
-        return hmac.new(self._siv_key, bytes(plaintext), _DIGEST).digest()[
-            :_NONCE_BYTES
-        ]
+        return self._siv.digest(bytes(plaintext))[:_NONCE_BYTES]
 
     def encrypt_deterministic(self, plaintext: bytes) -> bytes:
         """SIV-mode encryption: same key + plaintext ⇒ same ciphertext.
@@ -128,10 +146,10 @@ class SymmetricCipher:
         nonce = ciphertext[:_NONCE_BYTES]
         tag = ciphertext[-_TAG_BYTES:]
         body = ciphertext[_NONCE_BYTES:-_TAG_BYTES]
-        expected = hmac.new(self._mac_key, nonce + body, _DIGEST).digest()[:_TAG_BYTES]
+        expected = self._mac.digest(nonce + body)[:_TAG_BYTES]
         if not hmac.compare_digest(tag, expected):
             raise IntegrityError("ciphertext authentication failed")
-        return _xor(body, _keystream(self._enc_key, nonce, len(body)))
+        return xor_bytes(body, _keystream(self._enc, nonce, len(body)))
 
     # -- fixed-width integer convenience (score encryption) ------------
 

@@ -9,8 +9,8 @@ an arbitrarily long pseudo-random tape bound to an encoding of the
 current recursion state.
 
 :class:`CoinStream` implements that tape as an HMAC-SHA256 counter-mode
-stream.  On top of raw bits it offers the exact utilities the samplers
-need:
+stream: block ``i`` is ``HMAC(K, "tapegen|" || context || i)``.  On top
+of raw bits it offers the exact utilities the samplers need:
 
 * :meth:`bits` / :meth:`bytes` — raw tape material;
 * :meth:`uniform_int` — an unbiased integer in ``[0, bound)`` via
@@ -19,24 +19,26 @@ need:
   the hypergeometric CDF (our deterministic stand-in for MATLAB's
   ``hygeinv`` consuming a coin).
 
-:class:`KeyedTape` is the index-build fast path: it keys the HMAC once
-per tape key and then serves streams — or single in-bucket choices —
-that share the keyed state, so the per-entry cost of the one-to-many
-mapping is one HMAC block instead of a fresh keying plus object graph.
-Its output is byte-identical to the equivalent ``CoinStream`` calls.
+:class:`KeyedTape` holds one tape key, keyed once as a
+:class:`~repro.crypto.prekeyed.PrekeyedHmac` with the ``"tapegen|"``
+label already absorbed.  It serves streams — or single in-bucket
+choices — for any number of contexts, so a block costs two SHA-256
+state copies and finishes, never a fresh HMAC keying.  An OPM or OPSE
+instance owns one ``KeyedTape`` and passes it to every split draw and
+in-bucket choice it makes.  Its output is byte-identical to the
+equivalent ``CoinStream(key, context)`` calls.
 """
 
 from __future__ import annotations
 
-import hashlib
-import hmac
 from typing import Iterable
 
+from repro.crypto.prekeyed import PrekeyedHmac
 from repro.errors import ParameterError
 
-_DIGEST = hashlib.sha256
-_BLOCK_BYTES = _DIGEST().digest_size
+_BLOCK_BYTES = 32
 _BLOCK_BITS = 8 * _BLOCK_BYTES
+_LABEL = b"tapegen|"
 
 
 def encode_context(parts: Iterable[bytes | str | int]) -> bytes:
@@ -64,13 +66,21 @@ def encode_context(parts: Iterable[bytes | str | int]) -> bytes:
             raw = part.encode("utf-8")
             pieces.append(b"S" + len(raw).to_bytes(8, "big") + raw)
         elif isinstance(part, (bytes, bytearray, memoryview)):
-            raw = bytes(part)
-            pieces.append(b"Y" + len(raw).to_bytes(8, "big") + raw)
+            pieces.append(encode_bytes(bytes(part)))
         else:
             raise ParameterError(
                 f"unsupported context part type: {type(part).__name__}"
             )
     return b"".join(pieces)
+
+
+def encode_bytes(raw: bytes) -> bytes:
+    """``encode_context((raw,))`` for a single bytes part.
+
+    Skips the per-part type dispatch; the OPM appends this to a cached
+    context prefix once per mapped entry.
+    """
+    return b"Y" + len(raw).to_bytes(8, "big") + raw
 
 
 class CoinStream:
@@ -94,10 +104,8 @@ class CoinStream:
     def __init__(self, key: bytes, context: Iterable[bytes | str | int]):
         if not key:
             raise ParameterError("tape key must be non-empty")
-        seed = encode_context(context)
-        # Pre-key HMAC with the tape key; each block is HMAC(key, seed||ctr).
-        self._mac = hmac.new(bytes(key), b"tapegen|", _DIGEST)
-        self._seed = seed
+        self._mac = PrekeyedHmac(key, _LABEL)
+        self._seed = encode_context(context)
         self._counter = 0
         self._buffer = b""
         self._bit_buffer = 0
@@ -105,13 +113,11 @@ class CoinStream:
         self._stats = None
 
     @classmethod
-    def _from_prekeyed(cls, mac: "hmac.HMAC", seed: bytes, stats=None):
+    def _from_prekeyed(cls, mac: PrekeyedHmac, seed: bytes, stats=None):
         """Build a stream around an already-keyed HMAC (see KeyedTape).
 
-        The prekeyed ``mac`` is shared, never mutated: every block
-        works on a :meth:`hmac.HMAC.copy`, exactly as the public
-        constructor does, so the emitted tape is byte-identical to
-        ``CoinStream(key, context)``.
+        The prekeyed ``mac`` is shared, never mutated, so the emitted
+        tape is byte-identical to ``CoinStream(key, context)``.
         """
         self = cls.__new__(cls)
         self._mac = mac
@@ -124,13 +130,11 @@ class CoinStream:
         return self
 
     def _next_block(self) -> bytes:
-        mac = self._mac.copy()
-        mac.update(self._seed)
-        mac.update(self._counter.to_bytes(8, "big"))
+        block = self._mac.digest(self._seed + self._counter.to_bytes(8, "big"))
         self._counter += 1
         if self._stats is not None:
             self._stats.tape_blocks += 1
-        return mac.digest()
+        return block
 
     def bytes(self, length: int) -> bytes:
         """Return the next ``length`` tape bytes."""
@@ -189,24 +193,21 @@ class CoinStream:
 class KeyedTape:
     """A reusable, pre-keyed ``TapeGen`` for one tape key.
 
-    ``CoinStream`` re-keys HMAC-SHA256 on every construction — two
-    compression-function applications (inner/outer pad) plus a fresh
-    object graph, paid once *per mapped entry* on the index-build hot
-    path.  The key, however, is fixed per posting list; only the
-    context changes.  ``KeyedTape`` performs the keying once and hands
-    out streams (or single in-bucket choices) that share the keyed
-    state via :meth:`hmac.HMAC.copy`.
+    The key is fixed per posting list (OPM) or per OPSE instance; only
+    the context changes from one stream to the next.  ``KeyedTape``
+    keys the HMAC once and hands out streams (or single in-bucket
+    choices) that share the keyed state.
 
     Everything produced here is byte-identical to the equivalent
-    ``CoinStream(key, context)`` calls — the keyed HMAC state after
-    ``hmac.new(key, b"tapegen|")`` does not depend on how many streams
-    it is later copied into.  The test suite pins this equivalence.
+    ``CoinStream(key, context)`` calls — the keyed state does not
+    depend on how many streams share it.  The test suite pins this
+    equivalence.
     """
 
     def __init__(self, key: bytes):
         if not key:
             raise ParameterError("tape key must be non-empty")
-        self._mac = hmac.new(bytes(key), b"tapegen|", _DIGEST)
+        self._mac = PrekeyedHmac(key, _LABEL)
 
     def stream(
         self, context: Iterable[bytes | str | int], stats=None
@@ -239,18 +240,16 @@ class KeyedTape:
         if size == 1:
             return low
         width = (size - 1).bit_length()
-        prekeyed = self._mac
+        digest = self._mac.digest
         bit_buffer = 0
         bit_count = 0
         counter = 0
         while True:
             while bit_count < width:
-                mac = prekeyed.copy()
-                mac.update(seed)
-                mac.update(counter.to_bytes(8, "big"))
+                block = digest(seed + counter.to_bytes(8, "big"))
                 counter += 1
                 bit_buffer = (bit_buffer << _BLOCK_BITS) | int.from_bytes(
-                    mac.digest(), "big"
+                    block, "big"
                 )
                 bit_count += _BLOCK_BITS
             shift = bit_count - width

@@ -98,8 +98,17 @@ class Span:
     def __exit__(self, exc_type, exc, traceback) -> None:
         if exc_type is not None:
             self.attrs.setdefault("error", exc_type.__name__)
-        self._tracer._finish(self, self._token)
+        self._tracer._pop_current(self._token)
+        self._tracer._record(self)
         return None
+
+    def finish(self) -> None:
+        """Close and record a span that was opened without ``with``.
+
+        Such a span never becomes the thread's current span, so it can
+        open in one asyncio task and close in another.
+        """
+        self._tracer._record(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -129,6 +138,9 @@ class _NoopSpan:
         return self
 
     def __exit__(self, exc_type, exc, traceback) -> None:
+        return None
+
+    def finish(self) -> None:
         return None
 
 
@@ -294,9 +306,11 @@ class Tracer:
         self._local.current = span
         return previous
 
-    def _finish(self, span: Span, previous: Span | None) -> None:
-        span.end_s = self._clock()
+    def _pop_current(self, previous: Span | None) -> None:
         self._local.current = previous
+
+    def _record(self, span: Span) -> None:
+        span.end_s = self._clock()
         with self._lock:
             self._finished.append(span)
             overflow = len(self._finished) - self._max_spans

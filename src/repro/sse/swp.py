@@ -31,6 +31,7 @@ import hashlib
 import hmac
 from dataclasses import dataclass
 
+from repro.crypto.symmetric import xor_bytes
 from repro.errors import CryptoError, ParameterError
 
 #: Half-block width ``w`` in bytes (block = 2w).
@@ -48,10 +49,6 @@ def _canonical_block(word: str) -> bytes:
 
 def _prf(key: bytes, data: bytes, length: int = HALF_BYTES) -> bytes:
     return hmac.new(key, data, hashlib.sha256).digest()[:length]
-
-
-def _xor(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b))
 
 
 @dataclass(frozen=True)
@@ -91,11 +88,11 @@ class SwpScheme:
         if inverse:
             for round_index in reversed(rounds):
                 key = _prf(self._word_key, b"round|%d" % round_index, 32)
-                left, right = _xor(right, _prf(key, left)), left
+                left, right = xor_bytes(right, _prf(key, left)), left
         else:
             for round_index in rounds:
                 key = _prf(self._word_key, b"round|%d" % round_index, 32)
-                left, right = right, _xor(left, _prf(key, right))
+                left, right = right, xor_bytes(left, _prf(key, right))
         return left + right
 
     def _pre_encrypt(self, word: str) -> bytes:
@@ -119,7 +116,7 @@ class SwpScheme:
             position_key = _prf(self._position_prf_key, left, 32)
             stream = self._stream_block(doc_id, position)
             check = _prf(position_key, stream, HALF_BYTES)
-            ciphertexts.append(_xor(pre, stream + check))
+            ciphertexts.append(xor_bytes(pre, stream + check))
         return ciphertexts
 
     def decrypt_document(
@@ -137,10 +134,10 @@ class SwpScheme:
             if len(ciphertext) != BLOCK_BYTES:
                 raise CryptoError("malformed SWP ciphertext block")
             stream = self._stream_block(doc_id, position)
-            pre_left = _xor(ciphertext[:HALF_BYTES], stream)
+            pre_left = xor_bytes(ciphertext[:HALF_BYTES], stream)
             position_key = _prf(self._position_prf_key, pre_left, 32)
             check_mask = _prf(position_key, stream, HALF_BYTES)
-            pre_right = _xor(ciphertext[HALF_BYTES:], check_mask)
+            pre_right = xor_bytes(ciphertext[HALF_BYTES:], check_mask)
             blocks.append(
                 self._feistel_block(pre_left + pre_right, inverse=True)
             )
@@ -169,7 +166,7 @@ class SwpScheme:
         """
         matches = []
         for position, ciphertext in enumerate(ciphertexts):
-            masked = _xor(ciphertext, trapdoor.pre_encrypted)
+            masked = xor_bytes(ciphertext, trapdoor.pre_encrypted)
             stream, check = masked[:HALF_BYTES], masked[HALF_BYTES:]
             if _prf(trapdoor.position_key, stream, HALF_BYTES) == check:
                 matches.append(position)

@@ -19,6 +19,7 @@ from repro.crypto.hgd import hgd_quantile, hgd_quantile_reference
 from repro.crypto.keys import SchemeKey
 from repro.crypto.opm import OneToManyOpm
 from repro.crypto.opse import OrderPreservingEncryption
+from repro.crypto.symmetric import SymmetricCipher
 from repro.crypto.tape import CoinStream, KeyedTape, encode_context
 from repro.ir.inverted_index import InvertedIndex
 
@@ -113,6 +114,56 @@ HGD_VECTORS = {
 # SHA-256 over (address || entries...) of the secure index built below.
 INDEX_DIGEST = "a8ea84ad02a7c4de3b1e35586c472f124369e1ef1f2a8586c247f80438b07005"
 
+# SymmetricCipher(KEY) vectors.  CIPHER_NONCE is the fixed nonce of the
+# randomized mode; plaintexts are cipher_plaintext(length).
+CIPHER_NONCE = bytes(range(100, 116))
+
+# length -> SHA-256 of encrypt(cipher_plaintext(length), CIPHER_NONCE).
+# 36 bytes is one posting entry; 2048 a typical file blob.
+CIPHER_VECTORS = {
+    0: "828a0e51c1790d72a041ed4ceeb248a7abcf2d9cc79f0e511886b3289542fb4c",
+    1: "3e8900e7384d3f0695bc7cf43e81d1e534daad7103ffc63cf01a923feca3b045",
+    31: "0c4fa753637e1133e5d645dfb77fe92bcf54e649dc5d0e4b3216317bf4aeb507",
+    32: "f6014ccee4e9de29c4357c705372caf21c7f9d400e7b6959a621c682b4ad46d1",
+    33: "963fdcdff0d8674ce219e900fc7fa9fbf1f48210df90c7109387e8938bbbdc9c",
+    36: "f652ccde0f5814bd621292d9d9ea1848e92d6ef8266fe8242c46ff7f14a3182a",
+    2048: "c821dc215e024ffe69726ff13755b21f6a367749e5039c579cda95bbb1884559",
+}
+
+# Full ciphertexts of the two shortest plaintexts.
+CIPHER_SHORT = {
+    0: "6465666768696a6b6c6d6e6f70717273176233fde90aecc2950264b1afbc9cc5",
+    1: (
+        "6465666768696a6b6c6d6e6f70717273646eecc512e44b925d6633ab69d66e15"
+        "33"
+    ),
+}
+
+# length -> (SHA-256 of encrypt_deterministic(cipher_plaintext(length)),
+#            its 16-byte SIV nonce).
+CIPHER_SIV_VECTORS = {
+    0: (
+        "6c513f861dd3cec0450276d74fda09b241c7dd2dcb6ea934e49c4b2f3072d510",
+        "7367c4562d8d9091ea5534da41e1344f",
+    ),
+    1: (
+        "8c4ae61e97297e70284f43a449526156db1f5791fc6e78eb34679a14df2fcb15",
+        "8eb595ae4512c792e18280f3b2b15f3a",
+    ),
+    36: (
+        "4b5f32b862cdec8b3ab424665440ab3ca6234f5e1fe81c1bc6a9423c20c06e9b",
+        "7b611277601aa7e5e05832ee05d7643e",
+    ),
+    2048: (
+        "75ddb99fd4f44d462ede8a67d3f16e7c5af92ee4d45871d49b8147d5e07c8b6d",
+        "7ee8422891a80d3cbbf52a5b44e331c3",
+    ),
+}
+
+
+def cipher_plaintext(length: int) -> bytes:
+    return bytes((7 * i + 3) & 0xFF for i in range(length))
+
 
 class TestOpseGoldens:
     def test_small_domain_full_sweep(self):
@@ -189,6 +240,41 @@ class TestTapeGoldens:
         for (context, low, high), value in CHOICE_VECTORS.items():
             assert CoinStream(KEY, context).choice(low, high) == value
             assert tape.choice(encode_context(context), low, high) == value
+
+
+class TestCipherGoldens:
+    def test_encrypt_with_nonce(self):
+        cipher = SymmetricCipher(KEY)
+        for length, hexdigest in CIPHER_VECTORS.items():
+            ciphertext = cipher.encrypt(cipher_plaintext(length), CIPHER_NONCE)
+            assert len(ciphertext) == length + cipher.overhead_bytes
+            assert ciphertext[:16] == CIPHER_NONCE
+            assert hashlib.sha256(ciphertext).hexdigest() == hexdigest
+        for length, hexbytes in CIPHER_SHORT.items():
+            ciphertext = cipher.encrypt(cipher_plaintext(length), CIPHER_NONCE)
+            assert ciphertext.hex() == hexbytes
+
+    def test_encrypt_deterministic(self):
+        cipher = SymmetricCipher(KEY)
+        for length, (hexdigest, nonce) in CIPHER_SIV_VECTORS.items():
+            plaintext = cipher_plaintext(length)
+            ciphertext = cipher.encrypt_deterministic(plaintext)
+            assert cipher.deterministic_nonce(plaintext).hex() == nonce
+            assert ciphertext[:16].hex() == nonce
+            assert hashlib.sha256(ciphertext).hexdigest() == hexdigest
+
+    def test_decrypt_pinned_ciphertexts(self):
+        cipher = SymmetricCipher(KEY)
+        for length, hexbytes in CIPHER_SHORT.items():
+            plaintext = cipher.decrypt(bytes.fromhex(hexbytes))
+            assert plaintext == cipher_plaintext(length)
+        for length in CIPHER_VECTORS:
+            plaintext = cipher_plaintext(length)
+            sealed = cipher.encrypt(plaintext, CIPHER_NONCE)
+            assert cipher.decrypt(sealed) == plaintext
+            assert cipher.decrypt(cipher.encrypt_deterministic(plaintext)) == (
+                plaintext
+            )
 
 
 class TestHgdGoldens:

@@ -200,3 +200,45 @@ class TestStatsCounters:
         opm.map_score(3, b"g")
         assert opm.stats.bucket_cache_hits == 1
         assert opm.stats.hgd_draws == 0
+
+    def test_batch_stats_match_per_pair_mapping(self):
+        """``map_scores`` resolves each level once per batch, yet its
+        counters equal those of mapping every pair on its own (a
+        repeated level is still one bucket-cache hit per entry)."""
+        items = [(1 + (i * 7) % 13, b"file-%d" % i) for i in range(120)]
+        batch = OneToManyOpm(KEY, 16, 1 << 20)
+        single = OneToManyOpm(KEY, 16, 1 << 20)
+        for _ in range(2):
+            assert batch.map_scores(items) == [
+                single.map_score(score, fid) for score, fid in items
+            ]
+            assert batch.stats.as_dict() == single.stats.as_dict()
+
+    @pytest.mark.parametrize("cache_buckets", [True, False])
+    def test_batch_stats_pinned(self, cache_buckets):
+        """Counters of two identical batches, pinned per regime.  The
+        uncached regime pays the same descents on every call."""
+        items = [(1 + (i * 7) % 13, b"file-%d" % i) for i in range(120)]
+        opm = OneToManyOpm(KEY, 16, 1 << 20, cache_buckets=cache_buckets)
+        cold = {
+            "bucket_cache_hits": 107,
+            "bucket_cache_misses": 13,
+            "choices": 120,
+            "tape_blocks": 120,
+            "hgd_draws": 18,
+            "descents": 13,
+            "split_cache_hits": 46,
+        }
+        warm = {
+            "bucket_cache_hits": 120,
+            "bucket_cache_misses": 0,
+            "choices": 120,
+            "tape_blocks": 120,
+            "hgd_draws": 0,
+            "descents": 0,
+            "split_cache_hits": 0,
+        }
+        for expected in (cold, warm if cache_buckets else cold):
+            opm.map_scores(items)
+            assert opm.stats.as_dict() == expected
+            opm.reset_stats()

@@ -68,6 +68,16 @@ class TestIntegrity:
         with pytest.raises(IntegrityError):
             cipher.decrypt(tampered)
 
+    def test_every_single_bit_flip_detected(self):
+        """One flipped bit anywhere — nonce, body or tag — fails."""
+        cipher = SymmetricCipher(KEY)
+        ciphertext = cipher.encrypt(bytes(range(36)))
+        for bit in range(8 * len(ciphertext)):
+            tampered = bytearray(ciphertext)
+            tampered[bit // 8] ^= 1 << (bit % 8)
+            with pytest.raises(IntegrityError):
+                cipher.decrypt(bytes(tampered))
+
     def test_wrong_key_detected(self):
         ciphertext = SymmetricCipher(KEY).encrypt(b"msg")
         with pytest.raises(IntegrityError):

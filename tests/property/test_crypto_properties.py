@@ -1,10 +1,14 @@
 """Property-based tests on the crypto substrate's core invariants."""
 
+import hashlib
+import hmac
+
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.crypto.hgd import hgd_quantile, support
 from repro.crypto.opm import OneToManyOpm
 from repro.crypto.opse import OrderPreservingEncryption
+from repro.crypto.prekeyed import PrekeyedHmac
 from repro.crypto.symmetric import SymmetricCipher
 from repro.crypto.tape import CoinStream
 
@@ -104,3 +108,23 @@ def test_coinstream_chunking_invariance(key, context, lengths):
     stream = CoinStream(key, context)
     pieces = b"".join(stream.bytes(length) for length in lengths)
     assert pieces == whole
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    # 1-130 bytes: shorter than, exactly and longer than the 64-byte
+    # SHA-256 block (long keys are hashed first).
+    key=st.one_of(
+        st.binary(min_size=1, max_size=130),
+        st.binary(min_size=64, max_size=64),
+    ),
+    prefix=st.binary(max_size=80),
+    # Messages on both sides of the 64-byte block boundary.
+    messages=st.lists(st.binary(max_size=200), min_size=1, max_size=4),
+)
+def test_prekeyed_hmac_equals_stdlib_hmac(key, prefix, messages):
+    mac = PrekeyedHmac(key, prefix)
+    for message in messages:
+        assert mac.digest(message) == (
+            hmac.new(key, prefix + message, hashlib.sha256).digest()
+        )
