@@ -654,8 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--result-cache-bytes",
         type=int,
         default=8 << 20,
-        help="byte budget for --result-cache (default: 8 MiB, split "
-        "proportionally with the per-worker response memos)",
+        help="byte budget for --result-cache (default: 8 MiB)",
     )
     serve.add_argument(
         "--store",

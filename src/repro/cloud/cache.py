@@ -362,6 +362,20 @@ class ResultCache:
                 if entry is not None and not self._fresh(entry):
                     self._cache.pop(key)
 
+    def note_mutation(self, kind: str, shard: int) -> None:
+        """Bump the epochs one routed request invalidates, on receipt.
+
+        Bumped before the owning shard applies the update: a redundant
+        bump only costs a refill, while a missed one would serve stale
+        bytes.  ``update-list`` changes only its owning ``shard``; blob
+        mutations change the blob store every cached response may
+        embed, so they bump every shard.  Other kinds change nothing.
+        """
+        if kind == "update-list":
+            self.bump(shard)
+        elif kind in ("put-blob", "remove-blob"):
+            self.bump(None)
+
     def note_coalesced(self) -> None:
         """Count one request that awaited an in-flight identical fill."""
         with self._lock:

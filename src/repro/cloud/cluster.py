@@ -219,6 +219,51 @@ def merge_partial_matches(
     ]
 
 
+def finish_multi_search(
+    partials: Sequence[tuple[tuple[str, bytes], ...]],
+    request: MultiSearchRequest,
+    codec: str,
+    blobs: BlobStore,
+) -> bytes:
+    """The coordinator's tail of a fanned-out multi-search, encoded.
+
+    Merges the per-shard partial aggregates (:func:`merge_partial_matches`).
+    A ``partial`` request gets the merged aggregates re-packed as
+    partial score fields; otherwise the candidates are cut to the
+    top-k under the single server's tie-break and the blobs are
+    attached from ``blobs``.  Shared by :class:`ClusterServer` and the
+    socket front end (:class:`~repro.cloud.netserve.NetServer`), so
+    both coordinators answer byte-identically to a single server.
+    """
+    merged = merge_partial_matches(
+        partials, request.mode, len(request.trapdoors)
+    )
+    if request.partial:
+        return MultiSearchResponse(
+            matches=tuple(
+                (file_id, pack_partial_score(total, count))
+                for file_id, total, count in merged
+            ),
+            files=(),
+        ).to_bytes(codec)
+    ranked = rank_pairs(
+        [(file_id, total) for file_id, total, _ in merged],
+        request.top_k,
+    )
+    matches = []
+    payloads = []
+    for file_id, total in ranked:
+        # Same removed-blob tolerance as a single server.
+        blob = blobs.get_optional(file_id)
+        if blob is None:
+            continue
+        matches.append((file_id, pack_multi_score(total)))
+        payloads.append((file_id, blob))
+    return MultiSearchResponse(
+        matches=tuple(matches), files=tuple(payloads)
+    ).to_bytes(codec)
+
+
 class ShardedIndex:
     """A :class:`SecureIndex` partitioned across ``N`` shards by address.
 
@@ -392,6 +437,18 @@ class ShardedIndex:
     def shard_for(self, address: bytes) -> SecureIndex:
         """Owning shard of an address."""
         return self._shards[self.shard_id(address)]
+
+    def shard_for_request(self, request_bytes: bytes) -> int:
+        """Owning shard number of one request frame.
+
+        The one route step of both coordinators: the shard owning the
+        frame's :func:`routing_address`.  Raises
+        :class:`~repro.errors.ProtocolError` for a malformed frame or
+        an unroutable kind.
+        """
+        return shard_for_address(
+            routing_address(request_bytes), len(self._shards), self._seed
+        )
 
     # -- SecureIndex surface ----------------------------------------------
 
@@ -771,20 +828,22 @@ class ClusterServer:
         shard workers deterministically — the blob store itself is
         shared, so any worker can serve them.
         """
-        return shard_for_address(
-            routing_address(request_bytes),
-            self._sharded.num_shards,
-            self._sharded.shard_seed,
-        )
+        return self._sharded.shard_for_request(request_bytes)
 
     def _call_shard(
         self, shard: int, request_bytes: bytes, parent=None
-    ) -> bytes:
+    ) -> tuple[bytes, tuple[SearchObservation, ...]]:
         """One shard call through breaker + retry + fault injection.
 
-        The breaker check, the call, and the outcome recording all
-        happen under the shard lock, so breaker transitions are a
-        deterministic function of the per-shard call sequence.  Only
+        Returns the response and the observations the call appended to
+        the shard's log.  The breaker check, the call, the outcome
+        recording and the log capture all happen under the shard lock,
+        so breaker transitions are a deterministic function of the
+        per-shard call sequence and the log delta is exactly this
+        call's appends — the raw material the result cache replays
+        into the shard log on every later hit.  Under fault injection
+        a retried call may append more than one observation; the delta
+        keeps them all, matching what the shard actually logged.  Only
         :class:`~repro.errors.TransportError` failures count against
         the breaker: a :class:`~repro.errors.ProtocolError` means the
         *request* was bad, not the shard.
@@ -792,39 +851,6 @@ class ClusterServer:
         ``parent`` bridges the thread-pool boundary: pool workers pass
         the batch's root span explicitly so their ``shard.dispatch``
         spans land in the right trace tree.
-        """
-        with self._tracer.span(
-            "shard.dispatch", parent=parent, shard=shard
-        ) as span:
-            with self._shard_locks[shard]:
-                breaker = self._breakers[shard]
-                if not breaker.allow():
-                    span.set(breaker="open")
-                    raise ShardDownError(
-                        f"shard {shard}: circuit open "
-                        f"(awaiting half-open probe)"
-                    )
-                if self._tracer.enabled:
-                    span.set(breaker=breaker.state)
-                try:
-                    response = self._serving[shard].call(request_bytes)
-                except TransportError:
-                    breaker.record_failure()
-                    raise
-                breaker.record_success()
-                return response
-
-    def _call_shard_observed(
-        self, shard: int, request_bytes: bytes, parent=None
-    ) -> tuple[bytes, tuple[SearchObservation, ...]]:
-        """:meth:`_call_shard` plus the observations the call appended.
-
-        The capture happens under the shard lock, so the log delta is
-        exactly this call's appends — the raw material the result
-        cache replays into the shard log on every later hit.  Under
-        fault injection a retried call may append more than one
-        observation; the delta keeps them all, matching what the shard
-        actually logged.
         """
         server_log = self._servers[shard].log
         with self._tracer.span(
@@ -876,31 +902,15 @@ class ClusterServer:
         kind = peek_kind(request_bytes)
         if kind == "multi-search":
             return self._handle_multi_search(request_bytes)
+        shard = self.shard_id_for(request_bytes)
         if self._result_cache is not None:
             if kind == "search":
-                return self._handle_search_cached(request_bytes)
-            self._note_mutation(kind, request_bytes)
-        shard = self.shard_id_for(request_bytes)
+                return self._handle_search_cached(request_bytes, shard)
+            self._result_cache.note_mutation(kind, shard)
         with self._tracer.span("cluster.handle", shard=shard) as span:
-            response = self._call_shard(shard, request_bytes)
+            response, _ = self._call_shard(shard, request_bytes)
         self._observe_request("handle", span)
         return response
-
-    def _note_mutation(self, kind: str, request_bytes: bytes) -> None:
-        """Bump result-cache epochs for one mutating request.
-
-        Bumped on *receipt* (before the shard applies the update): a
-        redundant bump only costs a refill, while a missed one would
-        serve stale bytes.  ``update-list`` touches exactly one
-        shard's state; blob mutations touch the shared store every
-        cached response may embed, so they bump every shard.
-        """
-        if self._result_cache is None:
-            return
-        if kind == "update-list":
-            self._result_cache.bump(self.shard_id_for(request_bytes))
-        elif kind in ("put-blob", "remove-blob"):
-            self._result_cache.bump(None)
 
     def _observe_result_cache(self, outcome: str) -> None:
         if self._obs is None:
@@ -913,7 +923,7 @@ class ClusterServer:
                 "repro_result_cache_resident_bytes", layer="cluster"
             ).set(float(self._result_cache.resident_bytes))
 
-    def _handle_search_cached(self, request_bytes: bytes) -> bytes:
+    def _handle_search_cached(self, request_bytes: bytes, shard: int) -> bytes:
         """Serve one search through the front-end result cache.
 
         A hit returns the stored frame and replays its observations
@@ -938,12 +948,9 @@ class ClusterServer:
                     "repro_cluster_requests_total", kind="handle"
                 ).inc()
             return entry.frame
-        shard = self.shard_id_for(request_bytes)
         stamps = self._result_cache.stamp((shard,))
         with self._tracer.span("cluster.handle", shard=shard) as span:
-            response, captured = self._call_shard_observed(
-                shard, request_bytes
-            )
+            response, captured = self._call_shard(shard, request_bytes)
         self._observe_request("handle", span)
         self._result_cache.put(
             key, stamps, response, payload=(shard, captured)
@@ -978,12 +985,12 @@ class ClusterServer:
         if len(sub_requests) == 1:
             shard = next(iter(sub_requests))
             try:
-                return (
-                    self._call_shard(shard, request_bytes, parent=parent),
-                    [],
+                response, _ = self._call_shard(
+                    shard, request_bytes, parent=parent
                 )
             except TransportError as exc:
                 return None, [(shard, exc)]
+            return response, []
         futures = {
             shard: self._executor.submit(
                 self._call_shard,
@@ -997,42 +1004,14 @@ class ClusterServer:
         failures: list[tuple[int, Exception]] = []
         for shard, future in futures.items():
             try:
-                partials.append(
-                    MultiSearchResponse.from_bytes(future.result()).matches
-                )
+                response, _ = future.result()
             except TransportError as exc:
                 failures.append((shard, exc))
+                continue
+            partials.append(MultiSearchResponse.from_bytes(response).matches)
         if failures:
             return None, failures
-        merged = merge_partial_matches(
-            partials, request.mode, len(request.trapdoors)
-        )
-        if request.partial:
-            response = MultiSearchResponse(
-                matches=tuple(
-                    (file_id, pack_partial_score(total, count))
-                    for file_id, total, count in merged
-                ),
-                files=(),
-            )
-            return response.to_bytes(codec), []
-        ranked = rank_pairs(
-            [(file_id, total) for file_id, total, _ in merged],
-            request.top_k,
-        )
-        matches = []
-        payloads = []
-        for file_id, total in ranked:
-            # Same removed-blob tolerance as a single server.
-            blob = self._blobs.get_optional(file_id)
-            if blob is None:
-                continue
-            matches.append((file_id, pack_multi_score(total)))
-            payloads.append((file_id, blob))
-        response = MultiSearchResponse(
-            matches=tuple(matches), files=tuple(payloads)
-        )
-        return response.to_bytes(codec), []
+        return finish_multi_search(partials, request, codec, self._blobs), []
 
     def _handle_multi_search(
         self, request_bytes: bytes, parent=None
@@ -1069,16 +1048,22 @@ class ClusterServer:
         requests have no single owning shard; their positions come
         back separately and are fanned out by the coordinator itself
         (each one already parallelizes internally across shards).
+
+        Routing is where the batch's mutations are first known, so the
+        result-cache epochs they invalidate are bumped here, before
+        anything in the batch is dispatched.
         """
         groups: dict[int, list[int]] = {}
         multi_positions: list[int] = []
         for position, request_bytes in enumerate(batch):
-            if peek_kind(request_bytes) == "multi-search":
+            kind = peek_kind(request_bytes)
+            if kind == "multi-search":
                 multi_positions.append(position)
                 continue
-            groups.setdefault(self.shard_id_for(request_bytes), []).append(
-                position
-            )
+            shard = self.shard_id_for(request_bytes)
+            if self._result_cache is not None:
+                self._result_cache.note_mutation(kind, shard)
+            groups.setdefault(shard, []).append(position)
         return groups, multi_positions
 
     def _observe_batch(self, batch_size: int, groups: int, kind: str) -> None:
@@ -1111,9 +1096,6 @@ class ClusterServer:
         batch = list(requests)
         if not batch:
             return []
-        if self._result_cache is not None:
-            for request_bytes in batch:
-                self._note_mutation(peek_kind(request_bytes), request_bytes)
         groups, multi_positions = self._group_by_shard(batch)
         self._observe_batch(
             len(batch), len(groups) + len(multi_positions), "handle_many"
@@ -1128,7 +1110,7 @@ class ClusterServer:
                     with self._tracer.span(
                         "cluster.handle", shard=shard
                     ) as span:
-                        responses[position] = self._call_shard(
+                        responses[position], _ = self._call_shard(
                             shard, batch[position]
                         )
                     self._observe_request("handle", span)
@@ -1162,7 +1144,9 @@ class ClusterServer:
         self, position: int, request_bytes: bytes, shard: int, parent=None
     ) -> tuple[int, bytes | None, int, str | None]:
         try:
-            response = self._call_shard(shard, request_bytes, parent=parent)
+            response, _ = self._call_shard(
+                shard, request_bytes, parent=parent
+            )
             return position, response, shard, None
         except TransportError as exc:
             return position, None, shard, type(exc).__name__
@@ -1188,9 +1172,6 @@ class ClusterServer:
         batch is served normally.  Responses stay in request order.
         """
         batch = list(requests)
-        if self._result_cache is not None:
-            for request_bytes in batch:
-                self._note_mutation(peek_kind(request_bytes), request_bytes)
         with self._tracer.span(
             "cluster.handle_resilient", requests=len(batch)
         ) as root:

@@ -36,7 +36,9 @@ the deployment shape the codec was designed for:
   same :class:`~repro.cloud.cluster.PartialResult` contract).
 
 Routing is byte-identical to :class:`~repro.cloud.cluster.ClusterServer`
-(shared :func:`~repro.cloud.cluster.routing_address`), with one
+(shared :meth:`~repro.cloud.cluster.ShardedIndex.shard_for_request`,
+and :func:`~repro.cloud.cluster.finish_multi_search` for a fanned-out
+multi-search), with one
 deployment difference: the blob store is *replicated* per worker
 process (fork copy-on-write), so ``put-blob``/``remove-blob`` are
 broadcast to every worker while addressed requests go only to their
@@ -55,7 +57,7 @@ import socket
 import threading
 import time
 from collections import deque
-from typing import Callable, Iterable, Sequence
+from typing import Awaitable, Callable, Iterable, Sequence
 
 import repro.errors
 from repro.cloud.cluster import (
@@ -63,9 +65,7 @@ from repro.cloud.cluster import (
     DEFAULT_SHARD_SEED,
     PartialResult,
     ShardedIndex,
-    merge_partial_matches,
-    routing_address,
-    shard_for_address,
+    finish_multi_search,
     split_multi_request,
 )
 from repro.cloud.cache import ResultCache
@@ -86,8 +86,6 @@ from repro.cloud.protocol import (
     TracedRequest,
     detect_codec,
     encode_frame,
-    pack_multi_score,
-    pack_partial_score,
     peek_kind,
 )
 from repro.cloud.retry import (
@@ -110,7 +108,6 @@ from repro.errors import (
     ShardDownError,
     TransportError,
 )
-from repro.ir.topk import rank_pairs
 from repro.obs import (
     LeakageLog,
     MetricsRegistry,
@@ -187,7 +184,6 @@ def _worker_main(
     delay_s: float,
     obs=None,
     clock: Callable[[], float] | None = None,
-    result_cache_bytes: int | None = None,
 ) -> None:
     """One shard worker: a CloudServer behind a request pipe.
 
@@ -216,7 +212,6 @@ def _worker_main(
         cache_searches=cache_searches,
         update_token=update_token,
         obs=obs,
-        result_cache_bytes=result_cache_bytes,
         **(
             {"cache_capacity": cache_capacity}
             if cache_capacity is not None
@@ -441,9 +436,9 @@ class NetServer:
         a repeated query is answered from the asyncio loop with zero
         worker IPC and zero re-encode — and concurrent identical
         requests are *coalesced* into one shared worker round trip
-        via an asyncio future map (single-flight).  Each worker's
-        CloudServer additionally gets a proportional slice as its own
-        encoded-response memo.  Mutations invalidate by epoch:
+        via an asyncio future map (single-flight).  The workers keep
+        no response cache of their own: they only ever see this
+        cache's misses.  Mutations invalidate by epoch:
         ``update-list`` bumps its owning shard, blob broadcasts bump
         every shard, and error/partial responses are never cached, so
         responses are byte-identical with the cache on or off.  Cache
@@ -562,11 +557,6 @@ class NetServer:
             if result_cache_bytes is not None
             else None
         )
-        self._per_shard_result_bytes = (
-            max(1, result_cache_bytes // shards)
-            if result_cache_bytes is not None
-            else None
-        )
         #: Single-flight map: key -> future resolving to
         #: ``(response bytes, wire observations)``.  Touched only on
         #: the event-loop thread.
@@ -655,7 +645,6 @@ class NetServer:
                     self._worker_delay_s,
                     worker_obs,
                     worker_clock,
-                    self._per_shard_result_bytes,
                 ),
                 name=f"netserve-shard-{shard}",
                 daemon=True,
@@ -1007,92 +996,67 @@ class NetServer:
     async def _route(
         self, frame: bytes, codec: str, kind: str, span
     ) -> bytes:
-        """Route one admitted frame, through the fast lane when on."""
-        if self._result_cache is not None:
-            self._note_mutation(kind, frame)
-            shards = self._cacheable_shards(frame, kind)
-            if shards is not None:
-                return await self._serve_cached(
-                    frame, codec, kind, span, shards
-                )
-        if kind == "multi-search":
-            return await self._multi(frame, codec, span)
-        if kind in _BROADCAST_KINDS:
-            return await self._broadcast(frame, codec, span)
-        try:
-            shard = shard_for_address(
-                routing_address(frame),
-                self._sharded.num_shards,
-                self._sharded.shard_seed,
-            )
-        except ReproError as exc:
-            return ErrorResponse(
-                code=type(exc).__name__, detail=str(exc)
-            ).to_bytes(codec)
-        return await self._dispatch(shard, frame, codec, span)
+        """Route one admitted frame, through the fast lane when on.
 
-    # -- hot-query fast lane -------------------------------------------------
-
-    def _note_mutation(self, kind: str, frame: bytes) -> None:
-        """Bump result-cache epochs for a mutating frame, pre-dispatch.
-
-        Bump-on-receipt over-invalidates (the mutation might still
-        fail validation worker-side) but can never serve stale bytes:
-        a racing fill stamped with the old epoch lands dead on
-        arrival.  Blob mutations are broadcast to every worker, so
-        they bump every shard's epoch.
-        """
-        assert self._result_cache is not None
-        if kind in _BROADCAST_KINDS:
-            self._result_cache.bump(None)
-        elif kind == "update-list":
-            try:
-                shard = shard_for_address(
-                    routing_address(frame),
-                    self._sharded.num_shards,
-                    self._sharded.shard_seed,
-                )
-            except ReproError:
-                self._result_cache.bump(None)
-            else:
-                self._result_cache.bump(shard)
-
-    def _cacheable_shards(
-        self, frame: bytes, kind: str
-    ) -> tuple[int, ...] | None:
-        """The shard set a cache entry for ``frame`` depends on.
-
-        ``None`` means the frame is not cacheable: only ``search``
-        and non-partial ``multi-search`` qualify (a ``partial``
+        The one route step: the owning shard of the frame (for a
+        multi-search, of each term) is computed here, once, for every
+        kind.  A frame that cannot be routed — malformed, or of a kind
+        no worker serves — gets an
+        :class:`~repro.cloud.protocol.ErrorResponse` on its own
+        connection, blob mutations included.  Only ``search`` and
+        non-partial ``multi-search`` frames are cached (a ``partial``
         multi-search returns unranked aggregates meant for client-side
-        merging, and anything malformed gets its error from the
-        normal path).
+        merging).
         """
-        if kind == "search":
-            try:
-                return (
-                    shard_for_address(
-                        routing_address(frame),
-                        self._sharded.num_shards,
-                        self._sharded.shard_seed,
-                    ),
-                )
-            except ReproError:
-                return None
-        if kind == "multi-search":
-            try:
+        request: MultiSearchRequest | None = None
+        try:
+            if kind == "multi-search":
                 request = MultiSearchRequest.from_bytes(frame)
-                if request.partial:
-                    return None
                 sub_requests = split_multi_request(
                     request,
                     self._sharded.num_shards,
                     self._sharded.shard_seed,
                 )
-            except ReproError:
-                return None
-            return tuple(sorted(sub_requests))
-        return None
+                shards = tuple(sorted(sub_requests))
+            else:
+                shards = (self._sharded.shard_for_request(frame),)
+        except ReproError as exc:
+            return ErrorResponse(
+                code=type(exc).__name__, detail=str(exc)
+            ).to_bytes(codec)
+        cache = self._result_cache
+        if request is not None:
+            if cache is not None and not request.partial:
+                return await self._serve_cached(
+                    frame,
+                    codec,
+                    span,
+                    shards,
+                    lambda: self._fan_out(
+                        frame, codec, span, request, sub_requests, True
+                    ),
+                )
+            response, _ = await self._fan_out(
+                frame, codec, span, request, sub_requests, False
+            )
+            return response
+        shard = shards[0]
+        if cache is not None:
+            cache.note_mutation(kind, shard)
+            if kind == "search":
+                return await self._serve_cached(
+                    frame,
+                    codec,
+                    span,
+                    shards,
+                    lambda: self._dispatch(shard, frame, codec, span, True),
+                )
+        if kind in _BROADCAST_KINDS:
+            return await self._broadcast(frame, codec, span, shard)
+        response, _ = await self._dispatch(shard, frame, codec, span)
+        return response
+
+    # -- hot-query fast lane -------------------------------------------------
 
     def _observe_result_cache(self, outcome: str) -> None:
         assert self._result_cache is not None
@@ -1129,11 +1093,16 @@ class NetServer:
         self,
         frame: bytes,
         codec: str,
-        kind: str,
         span,
         shards: tuple[int, ...],
+        serve: Callable[[], Awaitable[tuple[bytes, tuple]]],
     ) -> bytes:
-        """The fast lane: cache lookup, then single-flight, then fill."""
+        """The fast lane: cache lookup, then single-flight, then fill.
+
+        ``serve`` runs the frame's worker round trip, capturing the
+        observations a later hit replays; ``shards`` are the shards
+        the response depends on.
+        """
         cache = self._result_cache
         assert cache is not None
         key = ResultCache.key_for(codec, frame)
@@ -1157,13 +1126,9 @@ class NetServer:
                     raise  # this follower itself was cancelled
                 # The leader was torn down without a result (its
                 # connection died); serve independently.
-                return await self._fill(
-                    frame, codec, kind, span, shards, key, None
-                )
+                return await self._fill(shards, key, None, serve)
             except Exception:  # noqa: BLE001 — degrade to own dispatch
-                return await self._fill(
-                    frame, codec, kind, span, shards, key, None
-                )
+                return await self._fill(shards, key, None, serve)
             self._emit_cached_observations(observations, span)
             if self._tracer.enabled:
                 span.set(cache="coalesced")
@@ -1180,9 +1145,7 @@ class NetServer:
         )
         self._single_flight[key] = future
         try:
-            return await self._fill(
-                frame, codec, kind, span, shards, key, future
-            )
+            return await self._fill(shards, key, future, serve)
         finally:
             if self._single_flight.get(key) is future:
                 del self._single_flight[key]
@@ -1191,13 +1154,10 @@ class NetServer:
 
     async def _fill(
         self,
-        frame: bytes,
-        codec: str,
-        kind: str,
-        span,
         shards: tuple[int, ...],
         key: tuple[str, bytes],
         future: asyncio.Future | None,
+        serve: Callable[[], Awaitable[tuple[bytes, tuple]]],
     ) -> bytes:
         """One worker round trip that (on success) populates the cache.
 
@@ -1211,14 +1171,7 @@ class NetServer:
         assert cache is not None
         self._observe_result_cache("misses")
         stamps = cache.stamp(shards)
-        if kind == "multi-search":
-            response, observations = await self._multi_impl(
-                frame, codec, span, observe=True
-            )
-        else:
-            response, observations = await self._dispatch_observed(
-                shards[0], frame, codec, span
-            )
+        response, observations = await serve()
         try:
             failed = peek_kind(response) == "error"
         except ProtocolError:  # pragma: no cover — defensive
@@ -1229,32 +1182,23 @@ class NetServer:
                 future.set_result((response, observations))
         return response
 
-    async def _dispatch_observed(
-        self, shard: int, frame: bytes, codec: str, span
-    ) -> tuple[bytes, tuple]:
-        """A worker call that also captures its leakage observations.
-
-        Wraps the frame in an :class:`ObservedRequest` envelope
-        (inside the tracing envelope, when tracing is on); the worker
-        answers with an :class:`ObservedResponse` carrying the inner
-        response plus the observations the request appended to its
-        server log.  Error bytes pass through unwrapped with no
-        observations.
-        """
-        wrapped = ObservedRequest(payload=frame).to_bytes(CODEC_BINARY)
-        response = await self._dispatch(shard, wrapped, codec, span)
-        try:
-            if peek_kind(response) == "observed-response":
-                envelope = ObservedResponse.from_bytes(response)
-                return envelope.payload, envelope.observations
-        except ProtocolError:  # pragma: no cover — defensive
-            pass
-        return response, ()
-
     async def _dispatch(
-        self, shard: int, frame: bytes, codec: str, span
-    ) -> bytes:
-        """One breaker-guarded worker call; failures become bytes."""
+        self,
+        shard: int,
+        frame: bytes,
+        codec: str,
+        span,
+        observe: bool = False,
+    ) -> tuple[bytes, tuple]:
+        """One breaker-guarded worker call; failures become bytes.
+
+        Returns the response and, with ``observe``, the leakage
+        observations the call appended to the worker's server log:
+        the frame then travels in an :class:`ObservedRequest` envelope
+        (inside the tracing envelope, when tracing is on) and the
+        worker answers with an :class:`ObservedResponse`.  Error bytes
+        come back with no observations.
+        """
         handle = self._workers[shard]
         if self._tracer.enabled:
             span.set(shard=shard)
@@ -1266,8 +1210,10 @@ class NetServer:
                     "(awaiting half-open probe)"
                 ),
                 shard=shard,
-            ).to_bytes(codec)
+            ).to_bytes(codec), ()
         payload = frame
+        if observe:
+            payload = ObservedRequest(payload=frame).to_bytes(CODEC_BINARY)
         if self._tracer.enabled:
             # Cross-process trace propagation: the worker unwraps the
             # envelope and parents its ``server.handle`` span under
@@ -1279,7 +1225,7 @@ class NetServer:
             payload = TracedRequest(
                 trace_id=span.trace_id,
                 span_id=span.span_id,
-                payload=frame,
+                payload=payload,
             ).to_bytes(CODEC_BINARY)
         try:
             ok, response, worker_us, packed = await handle.call(payload)
@@ -1287,7 +1233,7 @@ class NetServer:
             handle.breaker.record_failure()
             return ErrorResponse(
                 code="ShardDownError", detail=str(exc), shard=shard
-            ).to_bytes(codec)
+            ).to_bytes(codec), ()
         # A server-side error means the worker *served* the request
         # (the request was bad, not the shard): breaker success.
         handle.breaker.record_success()
@@ -1295,53 +1241,40 @@ class NetServer:
             code, _, detail = packed.partition("\x00")
             return ErrorResponse(
                 code=code, detail=detail, shard=shard
-            ).to_bytes(codec)
+            ).to_bytes(codec), ()
         if self._tracer.enabled:
             span.set(worker_us=worker_us)
-        return response
+        if observe:
+            envelope = ObservedResponse.from_bytes(response)
+            return envelope.payload, envelope.observations
+        return response, ()
 
-    async def _multi(self, frame: bytes, codec: str, span) -> bytes:
+    async def _fan_out(
+        self,
+        frame: bytes,
+        codec: str,
+        span,
+        request: MultiSearchRequest,
+        sub_requests: dict[int, MultiSearchRequest],
+        observe: bool,
+    ) -> tuple[bytes, tuple]:
         """Coordinate one multi-search across shard workers.
 
         Mirrors :meth:`ClusterServer._multi_fanout` over pipes: a
         query owned by one shard is forwarded whole; otherwise every
         owning shard gets its partial sub-request concurrently
-        (``asyncio.gather``), the partial aggregates are merged under
-        the identical tie-break, and blobs come from the front end's
-        replica of the store (kept current by :meth:`_broadcast`).
-        A failed shard fails the whole query — its error travels back
-        as the response, shard id included, because a conjunctive
-        intersection (or disjunctive sum) missing a shard's terms
-        would be silently wrong rather than merely partial.
+        (``asyncio.gather``) and :func:`finish_multi_search` merges
+        the partial aggregates under the identical tie-break, with
+        blobs from the front end's replica of the store (kept current
+        by :meth:`_broadcast`).  A failed shard fails the whole query
+        — its error travels back as the response, shard id included,
+        because a conjunctive intersection (or disjunctive sum)
+        missing a shard's terms would be silently wrong rather than
+        merely partial.  With ``observe`` the concatenated
+        observations (sorted shard order, worker order within a
+        shard) ride back for the result cache to replay on later
+        hits; the response bytes are identical either way.
         """
-        response, _ = await self._multi_impl(
-            frame, codec, span, observe=False
-        )
-        return response
-
-    async def _multi_impl(
-        self, frame: bytes, codec: str, span, observe: bool
-    ) -> tuple[bytes, tuple]:
-        """Multi-search fan-out, optionally capturing observations.
-
-        With ``observe`` the per-shard calls go through
-        :meth:`_dispatch_observed` and the concatenated observations
-        (sorted shard order, worker order within a shard) ride back
-        for the result cache to replay on later hits.  The merged
-        response bytes are identical either way.
-        """
-        try:
-            request = MultiSearchRequest.from_bytes(frame)
-            sub_requests = split_multi_request(
-                request, self._sharded.num_shards, self._sharded.shard_seed
-            )
-        except ReproError as exc:
-            return (
-                ErrorResponse(
-                    code=type(exc).__name__, detail=str(exc)
-                ).to_bytes(codec),
-                (),
-            )
         if self._tracer.enabled:
             span.set(
                 mode=request.mode,
@@ -1350,72 +1283,27 @@ class NetServer:
             )
         if len(sub_requests) == 1:
             shard = next(iter(sub_requests))
-            if observe:
-                return await self._dispatch_observed(
-                    shard, frame, codec, span
+            return await self._dispatch(shard, frame, codec, span, observe)
+        outcomes = await asyncio.gather(
+            *(
+                self._dispatch(
+                    shard, sub_request.to_bytes(codec), codec, span, observe
                 )
-            return await self._dispatch(shard, frame, codec, span), ()
-        ordered = sorted(sub_requests.items())
-        observations: tuple = ()
-        if observe:
-            outcomes = await asyncio.gather(
-                *(
-                    self._dispatch_observed(
-                        shard, sub_request.to_bytes(codec), codec, span
-                    )
-                    for shard, sub_request in ordered
-                )
+                for shard, sub_request in sorted(sub_requests.items())
             )
-            responses = [response for response, _ in outcomes]
-            observations = tuple(
-                observation
-                for _, captured in outcomes
-                for observation in captured
-            )
-        else:
-            responses = await asyncio.gather(
-                *(
-                    self._dispatch(
-                        shard, sub_request.to_bytes(codec), codec, span
-                    )
-                    for shard, sub_request in ordered
-                )
-            )
+        )
         partials = []
-        for response in responses:
+        for response, _ in outcomes:
             if peek_kind(response) == "error":
                 return response, ()
             partials.append(MultiSearchResponse.from_bytes(response).matches)
-        merged = merge_partial_matches(
-            partials, request.mode, len(request.trapdoors)
+        observations = tuple(
+            observation
+            for _, captured in outcomes
+            for observation in captured
         )
-        if request.partial:
-            return (
-                MultiSearchResponse(
-                    matches=tuple(
-                        (file_id, pack_partial_score(total, count))
-                        for file_id, total, count in merged
-                    ),
-                    files=(),
-                ).to_bytes(codec),
-                observations,
-            )
-        ranked = rank_pairs(
-            [(file_id, total) for file_id, total, _ in merged],
-            request.top_k,
-        )
-        matches = []
-        payloads = []
-        for file_id, total in ranked:
-            blob = self._blobs.get_optional(file_id)
-            if blob is None:
-                continue
-            matches.append((file_id, pack_multi_score(total)))
-            payloads.append((file_id, blob))
         return (
-            MultiSearchResponse(
-                matches=tuple(matches), files=tuple(payloads)
-            ).to_bytes(codec),
+            finish_multi_search(partials, request, codec, self._blobs),
             observations,
         )
 
@@ -1439,7 +1327,9 @@ class NetServer:
             if remove.file_id in self._blobs:
                 self._blobs.delete(remove.file_id)
 
-    async def _broadcast(self, frame: bytes, codec: str, span) -> bytes:
+    async def _broadcast(
+        self, frame: bytes, codec: str, span, owner: int
+    ) -> bytes:
         """Apply a blob mutation on every worker (replicated stores).
 
         The response returned to the client is the *owning* shard's
@@ -1449,20 +1339,16 @@ class NetServer:
         dead workers are already failing their own searches and are
         skipped by their breakers.
         """
-        owner = shard_for_address(
-            routing_address(frame),
-            self._sharded.num_shards,
-            self._sharded.shard_seed,
-        )
         results = await asyncio.gather(
             *(
                 self._dispatch(shard, frame, codec, span)
                 for shard in range(self._sharded.num_shards)
             )
         )
-        if peek_kind(results[owner]) == "ack":
+        response, _ = results[owner]
+        if peek_kind(response) == "ack":
             self._apply_blob_mutation(frame)
-        return results[owner]
+        return response
 
     # -- telemetry plane ----------------------------------------------------
 

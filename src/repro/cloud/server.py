@@ -14,7 +14,6 @@ paper's threat model.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import threading
 from collections import Counter, deque
@@ -227,14 +226,6 @@ class CloudServer:
         pattern the scheme already leaks) in a bounded LRU cache.
     cache_capacity:
         Maximum decrypted lists resident when caching is enabled.
-    result_cache_bytes:
-        Optional byte budget for a memo of fully-encoded
-        ``SearchResponse`` frames keyed by ``(codec, request-frame
-        digest)`` — i.e. per ``(trapdoor, k, codec)``, since trapdoor
-        generation is deterministic.  A memo hit skips decode, rank
-        *and* re-encode while still recording the search in the
-        observation log and leakage stream (the cache must never blind
-        the curious server).  ``None`` (the default) disables the memo.
     log_capacity:
         Optional bound on the curious server's observation log (see
         :class:`ServerLog`).  ``None`` (the default) keeps the full
@@ -259,7 +250,6 @@ class CloudServer:
         cache_capacity: int = DEFAULT_CACHE_CAPACITY,
         obs=None,
         log_capacity: int | None = None,
-        result_cache_bytes: int | None = None,
     ):
         self._index = secure_index
         self._blobs = blob_store
@@ -268,16 +258,6 @@ class CloudServer:
         self._cache: LruCache | None = (
             LruCache(cache_capacity) if cache_searches else None
         )
-        self._response_memo: LruCache | None = (
-            LruCache(
-                capacity=None,
-                capacity_bytes=result_cache_bytes,
-                size_of=lambda entry: len(entry[0]),
-            )
-            if result_cache_bytes is not None
-            else None
-        )
-        self._memo_keys_by_address: dict[bytes, set[tuple[str, bytes]]] = {}
         self._update_token = update_token
         self._lock = threading.RLock()
         self._obs = obs
@@ -366,10 +346,9 @@ class CloudServer:
                 "repro_server_requests_total", codec=codec
             ).inc()
         if kind == "search":
-            request = SearchRequest.from_bytes(request_bytes)
-            if self._response_memo is not None:
-                return self._memoized_search(request, request_bytes, codec)
-            return self._handle_search(request).to_bytes(codec)
+            return self._handle_search(
+                SearchRequest.from_bytes(request_bytes)
+            ).to_bytes(codec)
         if kind == "multi-search":
             return self._handle_multi_search(
                 MultiSearchRequest.from_bytes(request_bytes)
@@ -468,16 +447,12 @@ class CloudServer:
                     "different contents"
                 )
             self._blobs.put(put.file_id, put.blob)
-            # Any memoized response may embed (or have skipped) this
-            # blob; there is no per-blob reverse map, so drop them all.
-            self._clear_response_memo()
             return AckResponse(ok=True)
         remove = RemoveBlobRequest.from_bytes(request_bytes)
         check_token(self._update_token, remove.token)
         if remove.file_id not in self._blobs:
             return AckResponse(ok=True, detail="already removed")
         self._blobs.delete(remove.file_id)
-        self._clear_response_memo()
         return AckResponse(ok=True)
 
     def _handle_obs_snapshot(self) -> ObsSnapshotResponse:
@@ -528,38 +503,23 @@ class CloudServer:
         """The bounded decrypted-list cache (None when disabled)."""
         return self._cache
 
-    @property
-    def result_cache(self) -> LruCache | None:
-        """The encoded-response memo (None when disabled)."""
-        return self._response_memo
-
     def invalidate_cache(self, address: bytes | None = None) -> None:
-        """Drop cached decrypted lists and memoized responses.
+        """Drop cached decrypted lists.
 
         An owner pushing index updates must call this (or deploy with
         ``cache_searches=False``); the update protocol of
         :mod:`repro.cloud.updates` does it on every list it touches,
         and the simulated deployment gives the owner a direct handle
-        too.  With an address, only that posting list and the response
-        frames built from it are dropped; without one, everything goes.
+        too.  With an address, only that posting list is dropped;
+        without one, everything goes.
         """
+        if self._cache is None:
+            return
         with self._lock:
             if address is None:
-                if self._cache is not None:
-                    self._cache.clear()
-                self._clear_response_memo()
-                return
-            if self._cache is not None:
+                self._cache.clear()
+            else:
                 self._cache.pop(address)
-            if self._response_memo is not None:
-                for key in self._memo_keys_by_address.pop(address, ()):
-                    self._response_memo.pop(key)
-
-    def _clear_response_memo(self) -> None:
-        if self._response_memo is None:
-            return
-        self._response_memo.clear()
-        self._memo_keys_by_address.clear()
 
     def record_replayed_observation(
         self, observation: SearchObservation
@@ -584,66 +544,6 @@ class CloudServer:
                 self._obs.metrics.counter(
                     "repro_server_searches_total"
                 ).inc()
-
-    def _memoized_search(
-        self, request: SearchRequest, request_bytes: bytes, codec: str
-    ) -> bytes:
-        """Serve one search through the encoded-response memo.
-
-        The key digests the raw request frame, which covers trapdoor,
-        top-k bound, entries-only flag *and* codec framing — any two
-        byte-identical frames are the same logical query and get the
-        byte-identical response.  A hit still records the observation
-        and leakage event the uncached execution would have produced
-        (stored alongside the frame at fill time), so the memo speeds
-        up the curious server without blinding it.
-        """
-        key = (
-            codec,
-            hashlib.blake2b(request_bytes, digest_size=16).digest(),
-        )
-        assert self._response_memo is not None
-        with self._tracer.span("search.cache") as cache_span:
-            memoized = self._response_memo.get(key)
-        if memoized is not None:
-            response_bytes, observation = memoized
-            self._log.record(observation)
-            if self._obs is not None:
-                current = self._tracer.current()
-                self._obs.leakage.record(
-                    observation.address,
-                    matched_file_ids=observation.matched_file_ids,
-                    returned_file_ids=observation.returned_file_ids,
-                    trace_id=(
-                        current.trace_id if current is not None else 0
-                    ),
-                )
-                self._obs.metrics.counter(
-                    "repro_server_searches_total"
-                ).inc()
-                self._obs.metrics.histogram(
-                    "repro_server_postings_scanned",
-                    buckets=(1.0, 10.0, 100.0, 1000.0, 10000.0),
-                ).observe(float(len(observation.matched_file_ids)))
-                self._obs.metrics.counter(
-                    "repro_result_cache_hits_total", layer="server"
-                ).inc()
-            self._record_slow("search", (("cache", cache_span),))
-            return response_bytes
-        response_bytes = self._handle_search(request).to_bytes(codec)
-        observation = self._log.observations[-1]
-        self._response_memo.put(key, (response_bytes, observation))
-        self._memo_keys_by_address.setdefault(
-            observation.address, set()
-        ).add(key)
-        if self._obs is not None:
-            self._obs.metrics.counter(
-                "repro_result_cache_misses_total", layer="server"
-            ).inc()
-            self._obs.metrics.gauge(
-                "repro_result_cache_resident_bytes", layer="server"
-            ).set(float(self._response_memo.resident_bytes))
-        return response_bytes
 
     def _postings_for(self, trapdoor: Trapdoor) -> CachedPostings:
         """``SearchIndex``: locate, decrypt, drop dummies.

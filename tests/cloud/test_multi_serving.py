@@ -80,7 +80,12 @@ def trapdoors_for(scheme, owner, terms):
 
 @pytest.fixture(scope="module")
 def golden(world):
-    """Every query in both modes and codecs, as wire bytes."""
+    """Every query in both modes and codecs, as wire bytes.
+
+    Each query also comes as a ``partial`` request (unranked
+    aggregates with matched-term counts), so a coordinator's re-pack
+    of merged partials is held to a single server's bytes too.
+    """
     scheme, owner, _ = world
     requests = []
     for terms in QUERIES:
@@ -90,6 +95,11 @@ def golden(world):
                 requests.append(
                     MultiSearchRequest(
                         trapdoors=trapdoors, mode=mode, top_k=5
+                    ).to_bytes(codec)
+                )
+                requests.append(
+                    MultiSearchRequest(
+                        trapdoors=trapdoors, mode=mode, partial=True
                     ).to_bytes(codec)
                 )
     return requests

@@ -19,9 +19,11 @@ one shard worker *process* per shard) and
 * clean shutdown reaps every worker process and releases the port.
 """
 
+import json
 import random
 import socket
 import time
+from collections import Counter
 
 import pytest
 
@@ -37,6 +39,7 @@ from repro.cloud.owner import DataOwner
 from repro.cloud.protocol import (
     CODEC_BINARY,
     CODEC_JSON,
+    ErrorResponse,
     SearchRequest,
     SearchResponse,
     encode_frame,
@@ -114,6 +117,16 @@ def golden(world):
                 )
             )
     return requests
+
+
+def recv_frame(raw: socket.socket) -> bytes:
+    """Read one length-prefixed frame from a raw socket."""
+    data = b""
+    while len(data) < 4 or len(data) < 4 + int.from_bytes(data[:4], "big"):
+        chunk = raw.recv(65536)
+        assert chunk, "server closed the connection"
+        data += chunk
+    return data[4:]
 
 
 def fresh_server(world, **kwargs):
@@ -329,10 +342,20 @@ class TestFaults:
 
     def test_circuit_breaker_opens_for_dead_worker(self, world, golden):
         breaker = BreakerConfig(failure_threshold=3)
+        # Placement depends on the owner's fresh keys: kill the shard
+        # the most frames route to, so its breaker is sure to see
+        # ``failure_threshold`` failures.
+        routed = Counter(
+            shard_for_address(
+                routing_address(request), NUM_SHARDS, DEFAULT_SHARD_SEED
+            )
+            for request in golden
+        )
+        victim, sent = routed.most_common(1)[0]
+        assert sent >= breaker.failure_threshold
         with fresh_server(world, breaker=breaker) as srv, NetworkChannel(
             srv.host, srv.port
         ) as channel:
-            victim = 1
             srv.kill_worker(victim)
             channel.call_many_resilient(golden)
             health = srv.worker_health
@@ -472,6 +495,22 @@ class TestProtocolHygiene:
             assert channel.call_many(mixed) == reference.handle_many(
                 mixed
             )
+
+    @pytest.mark.parametrize("kind", ("put-blob", "remove-blob"))
+    def test_malformed_blob_mutation_gets_error_response(
+        self, server, golden, kind
+    ):
+        """A blob mutation that cannot be routed is answered like a
+        malformed search, and the connection keeps serving."""
+        malformed = json.dumps({"kind": kind}).encode("utf-8")
+        with socket.create_connection(
+            (server.host, server.port), timeout=5.0
+        ) as raw:
+            raw.sendall(encode_frame(malformed))
+            error = ErrorResponse.from_bytes(recv_frame(raw))
+            assert error.code == "ProtocolError"
+            raw.sendall(encode_frame(golden[0]))
+            assert SearchResponse.from_bytes(recv_frame(raw)).files
 
     def test_valid_frame_sent_raw_round_trips(self, server, golden):
         with socket.create_connection(

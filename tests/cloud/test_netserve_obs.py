@@ -23,10 +23,16 @@ import json
 import random
 import socket
 import time
+from collections import Counter
 
 import pytest
 
 from repro.cli import main as cli_main
+from repro.cloud.cluster import (
+    DEFAULT_SHARD_SEED,
+    routing_address,
+    shard_for_address,
+)
 from repro.cloud.netserve import NetServer, NetworkChannel
 from repro.cloud.owner import DataOwner
 from repro.cloud.protocol import (
@@ -296,17 +302,27 @@ class TestTransparency:
 class TestBreakerGauges:
     def test_killed_worker_shows_open_in_scrape_and_health(self, world):
         obs = obs_bundle()
-        victim = 1
+        breaker = BreakerConfig(failure_threshold=3)
+        frames = [search_bytes(world, keyword) for keyword in VOCAB]
+        # Placement depends on the owner's fresh keys: kill the shard
+        # the most frames route to, so its breaker is sure to see
+        # ``failure_threshold`` failures.
+        routed = Counter(
+            shard_for_address(
+                routing_address(frame), NUM_SHARDS, DEFAULT_SHARD_SEED
+            )
+            for frame in frames
+        )
+        victim, sent = routed.most_common(1)[0]
+        assert sent >= breaker.failure_threshold
         with obs_server(
             world,
             obs,
             deterministic_obs=True,
-            breaker=BreakerConfig(failure_threshold=3),
+            breaker=breaker,
         ) as server, NetworkChannel(server.host, server.port) as channel:
             server.kill_worker(victim)
-            channel.call_many_resilient(
-                [search_bytes(world, keyword) for keyword in VOCAB]
-            )
+            channel.call_many_resilient(frames)
             assert server.worker_health[victim].state == "open"
             text = server.scrape()
             health = server.health()

@@ -9,19 +9,17 @@ Covers the cache plumbing underneath the fast lane, bottom-up:
 * :class:`~repro.cloud.cache.ResultCache` — keying, epoch stamps,
   bump-based invalidation, and the stale-on-arrival guarantee for
   fills that race a mutation;
-* :class:`~repro.cloud.server.CloudServer`'s encoded-response memo —
-  byte-identical to the memo-off server across both codecs, hit
-  counters move, and index/blob mutations invalidate it;
 * :class:`~repro.cloud.cluster.ClusterServer`'s result-cache layer —
   byte-identical to the cache-off cluster at 1 and 4 shards, in both
   codecs, through an interleaved insert/remove cycle (every update is
   fanned to the cached *and* the uncached deployment, since each
   snapshots the index at construction);
-* the same equivalence over the packed mmap store, and for
-  multi-keyword requests (``partial`` responses are never cached).
+* multi-keyword requests through the cluster's cache layer
+  (``partial`` responses are never cached);
+* update invalidation of the ranked posting-list cache over the
+  packed mmap store, against a server with caching off.
 """
 
-import copy
 import random
 
 import pytest
@@ -196,84 +194,6 @@ class TestResultCacheUnit:
         assert len(cache) == 2
 
 
-class TestCloudServerMemo:
-    def test_memoized_responses_byte_identical_and_hit(self, world, golden):
-        _, _, outsourcing = world
-        plain = CloudServer(
-            outsourcing.secure_index,
-            outsourcing.blob_store,
-            can_rank=True,
-            cache_searches=True,
-        )
-        memoized = CloudServer(
-            outsourcing.secure_index,
-            outsourcing.blob_store,
-            can_rank=True,
-            cache_searches=True,
-            result_cache_bytes=CACHE_BYTES,
-        )
-        for request in golden:
-            assert memoized.handle(request) == plain.handle(request)
-        assert memoized.result_cache is not None
-        hits_before = memoized.result_cache.hits
-        for request in golden:  # now served from the memo
-            assert memoized.handle(request) == plain.handle(request)
-        assert memoized.result_cache.hits >= hits_before + len(golden)
-
-    def test_update_invalidates_memo(self):
-        scheme, owner, outsourcing = build_world(seed=29, docs=8)
-
-        # Each server owns private state: a server that shares another's
-        # index would see updates as already applied (the idempotent
-        # early-ack) and skip its own cache invalidation — a shape real
-        # deployments never have.
-        def private_server(**kwargs):
-            blobs = BlobStore()
-            for file_id in outsourcing.blob_store.ids():
-                blobs.put(file_id, outsourcing.blob_store.get(file_id))
-            return CloudServer(
-                copy.deepcopy(outsourcing.secure_index),
-                blobs,
-                can_rank=True,
-                cache_searches=True,
-                update_token=TOKEN,
-                **kwargs,
-            )
-
-        plain = private_server()
-        memoized = private_server(result_cache_bytes=CACHE_BYTES)
-
-        def fan_out(frame: bytes) -> bytes:
-            response = memoized.handle(frame)
-            plain.handle(frame)
-            return response
-
-        maintainer = RemoteIndexMaintainer(owner, Channel(fan_out), TOKEN)
-        frames = search_frames(scheme, owner, CODEC_BINARY, VOCAB[:6])
-
-        def check() -> list[bytes]:
-            snapshot = []
-            for frame in frames:
-                expected = plain.handle(frame)
-                assert memoized.handle(frame) == expected  # cold or stale
-                assert memoized.handle(frame) == expected  # memo hit
-                snapshot.append(expected)
-            return snapshot
-
-        before = check()
-        maintainer.insert_document(
-            Document(
-                doc_id="doc-new",
-                title="new",
-                text=f"{VOCAB[0]} {VOCAB[0]} {VOCAB[1]}",
-            )
-        )
-        after_insert = check()
-        assert after_insert != before  # the insert is visible through hits
-        maintainer.remove_document("doc-new")
-        assert check() == before
-
-
 class TestClusterEquivalence:
     @pytest.mark.parametrize("codec", CODECS)
     @pytest.mark.parametrize("shards", (1, NUM_SHARDS))
@@ -387,7 +307,7 @@ class TestPackedStoreEquivalence:
     def test_interleaved_updates_over_packed_store(self, tmp_path):
         scheme, owner, outsourcing = build_world(seed=31, docs=10)
 
-        def deployment(name, **kwargs):
+        def deployment(name, cache_searches):
             path = pack_index(
                 outsourcing.secure_index, tmp_path / f"{name}.rpk"
             )
@@ -399,15 +319,12 @@ class TestPackedStoreEquivalence:
                 store,
                 blobs,
                 can_rank=True,
-                cache_searches=True,
+                cache_searches=cache_searches,
                 update_token=TOKEN,
-                **kwargs,
             )
 
-        plain_store, plain = deployment("plain")
-        cached_store, cached = deployment(
-            "cached", result_cache_bytes=CACHE_BYTES
-        )
+        plain_store, plain = deployment("plain", cache_searches=False)
+        cached_store, cached = deployment("cached", cache_searches=True)
         with plain_store, cached_store:
 
             def fan_out(frame: bytes) -> bytes:
