@@ -19,7 +19,9 @@ the deployment shape the codec was designed for:
   plus its own ranked cache, so shards rank and decrypt on separate
   cores.  The parent talks to each worker over a duplex pipe with
   request-id multiplexing, so one worker serves pipelined requests
-  from many connections.
+  from many connections.  The pipes are read and written on the
+  front-end event loop (an asyncio protocol over each socketpair),
+  with no per-worker threads.
 * **Backpressure, twice** — a per-connection in-flight window (the
   reader simply stops consuming the socket, letting TCP flow control
   push back on the client) and a global queue-depth high-water mark
@@ -50,8 +52,10 @@ responses.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import multiprocessing
+import os
 import signal
 import socket
 import threading
@@ -254,15 +258,22 @@ def _worker_main(
     conn.close()
 
 
-class _WorkerHandle:
+class _WorkerHandle(asyncio.Protocol):
     """Parent-side view of one shard worker process.
 
-    Multiplexes pipelined requests over the worker pipe with 8-byte
-    request ids; a dedicated reader thread resolves the matching
-    asyncio futures via ``call_soon_threadsafe``.  When the pipe dies
-    (worker crashed or killed), every pending call — and every future
-    call — fails with :class:`~repro.errors.ShardDownError`, which is
-    what the front end's per-worker circuit breaker counts.
+    The worker pipe is a socketpair, and a dup of its parent end is
+    served on the front-end event loop with this protocol: no thread,
+    lock or executor sits between a request and its worker.  Requests
+    are written with ``transport.write`` in ``multiprocessing``
+    connection framing (a 4-byte signed big-endian length, or ``-1``
+    then an 8-byte length), so the worker's ``recv_bytes`` reads them
+    unchanged, and carry 8-byte request ids so one worker serves
+    pipelined requests from many connections.  :meth:`data_received`
+    parses the replies in the same framing and resolves the matching
+    futures in place.  When the pipe dies (worker crashed or killed),
+    every pending call — and every future call — fails with
+    :class:`~repro.errors.ShardDownError`, which is what the front
+    end's per-worker circuit breaker counts.
     """
 
     def __init__(self, shard: int, process, conn, breaker: CircuitBreaker):
@@ -271,78 +282,61 @@ class _WorkerHandle:
         self.conn = conn
         self.breaker = breaker
         self.alive = True
-        self._lock = threading.Lock()
         self._pending: dict[bytes, asyncio.Future] = {}
         self._next_rid = 0
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._reader: threading.Thread | None = None
+        self._transport: asyncio.Transport | None = None
+        self._buffer = bytearray()
 
-    def start_reader(self, loop: asyncio.AbstractEventLoop) -> None:
-        self._loop = loop
-        self._reader = threading.Thread(
-            target=self._read_loop,
-            name=f"netserve-worker-{self.shard}-reader",
-            daemon=True,
-        )
-        self._reader.start()
+    async def connect(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Serve the pipe on ``loop`` (a dup, so ``conn`` stays ours)."""
+        sock = socket.socket(fileno=os.dup(self.conn.fileno()))
+        await loop.connect_accepted_socket(lambda: self, sock)
 
-    @staticmethod
-    def _resolve(future: asyncio.Future, result) -> None:
-        if not future.done():
-            future.set_result(result)
+    def connection_made(self, transport) -> None:
+        self._transport = transport
 
-    @staticmethod
-    def _fail(future: asyncio.Future, exc: Exception) -> None:
-        if not future.done():
-            future.set_exception(exc)
-
-    def _read_loop(self) -> None:
-        assert self._loop is not None
-        while True:
-            try:
-                data = self.conn.recv_bytes()
-            except (EOFError, OSError):
+    def data_received(self, data: bytes) -> None:
+        buffer = self._buffer
+        buffer += data
+        offset = 0
+        while len(buffer) - offset >= 4:
+            size = int.from_bytes(
+                buffer[offset:offset + 4], "big", signed=True
+            )
+            start = offset + 4
+            if size == -1:
+                if len(buffer) - offset < 12:
+                    break
+                size = int.from_bytes(buffer[start:start + 8], "big")
+                start += 8
+            end = start + size
+            if len(buffer) < end:
                 break
-            rid = bytes(data[:_RID_BYTES])
-            with self._lock:
-                future = self._pending.pop(rid, None)
-            if future is None:
-                continue
-            status = data[_RID_BYTES]
-            body = bytes(data[_RID_BYTES + 1:])
-            if status == _STATUS_OK:
-                elapsed_us = int.from_bytes(body[:4], "big")
-                outcome = (True, body[4:], elapsed_us, "")
-            else:
-                code, detail = _unpack_strs(body, 2)
-                outcome = (False, b"", 0, f"{code}\x00{detail}")
-            try:
-                self._loop.call_soon_threadsafe(
-                    self._resolve, future, outcome
-                )
-            except RuntimeError:  # loop already closed during shutdown
-                break
-        with self._lock:
-            self.alive = False
-            orphans = list(self._pending.values())
-            self._pending.clear()
+            self._resolve(bytes(buffer[start:end]))
+            offset = end
+        del buffer[:offset]
+
+    def _resolve(self, reply: bytes) -> None:
+        future = self._pending.pop(reply[:_RID_BYTES], None)
+        if future is None or future.done():
+            return
+        body = _RID_BYTES + 1
+        if reply[_RID_BYTES] == _STATUS_OK:
+            elapsed_us = int.from_bytes(reply[body:body + 4], "big")
+            future.set_result((True, reply[body + 4:], elapsed_us, ""))
+        else:
+            code, detail = _unpack_strs(reply[body:], 2)
+            future.set_result((False, b"", 0, f"{code}\x00{detail}"))
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.alive = False
+        orphans = list(self._pending.values())
+        self._pending.clear()
         for future in orphans:
-            try:
-                self._loop.call_soon_threadsafe(
-                    self._fail,
-                    future,
-                    ShardDownError(f"shard {self.shard}: worker died"),
+            if not future.done():
+                future.set_exception(
+                    ShardDownError(f"shard {self.shard}: worker died")
                 )
-            except RuntimeError:  # loop already closed during shutdown
-                break
-
-    def _send(self, envelope: bytes) -> None:
-        with self._lock:
-            if not self.alive:
-                raise ShardDownError(
-                    f"shard {self.shard}: worker is not running"
-                )
-            self.conn.send_bytes(envelope)
 
     async def call(self, request: bytes) -> tuple[bool, bytes, int, str]:
         """One pipelined worker round trip.
@@ -351,40 +345,36 @@ class _WorkerHandle:
         :class:`~repro.errors.ShardDownError` when the worker (or its
         pipe) is gone.
         """
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        with self._lock:
-            if not self.alive:
-                raise ShardDownError(
-                    f"shard {self.shard}: worker is not running"
-                )
-            rid = self._next_rid.to_bytes(_RID_BYTES, "big")
-            self._next_rid += 1
-            self._pending[rid] = future
-        try:
-            await loop.run_in_executor(None, self._send, rid + request)
-        except (OSError, ValueError, BrokenPipeError) as exc:
-            with self._lock:
-                self._pending.pop(rid, None)
+        if not self.alive or self._transport is None:
             raise ShardDownError(
-                f"shard {self.shard}: worker pipe failed ({exc})"
-            ) from exc
+                f"shard {self.shard}: worker is not running"
+            )
+        rid = self._next_rid.to_bytes(_RID_BYTES, "big")
+        self._next_rid += 1
+        future = asyncio.get_running_loop().create_future()
+        self._pending[rid] = future
+        size = _RID_BYTES + len(request)
+        if size > 0x7FFFFFFF:
+            header = b"\xff\xff\xff\xff" + size.to_bytes(8, "big")
+        else:
+            header = size.to_bytes(4, "big")
+        # A failed write closes the transport, and ``connection_lost``
+        # then fails this future along with every other pending one.
+        self._transport.write(header + rid + request)
         return await future
 
+    def close_transport(self) -> None:
+        """Drop the loop's end of the pipe (front-end teardown)."""
+        if self._transport is not None:
+            self._transport.abort()
+
     def shutdown(self, timeout_s: float) -> None:
-        # Stop the worker *before* touching the pipe: the reader
-        # thread is blocked in ``recv_bytes``, and on POSIX closing a
-        # file descriptor does not wake a thread already blocked on
-        # it — but the worker's death closes the far end, which does
-        # (EOF).
         if self.process.is_alive():
             self.process.terminate()
         self.process.join(timeout=timeout_s)
         if self.process.is_alive():  # pragma: no cover — last resort
             self.process.kill()
             self.process.join(timeout=timeout_s)
-        if self._reader is not None:
-            self._reader.join(timeout=timeout_s)
         try:
             self.conn.close()
         except OSError:
@@ -623,42 +613,50 @@ class NetServer:
         Returns ``self`` so tests can write
         ``with NetServer(...).start() as server``.  The front-end
         event loop runs on a background thread; this call returns once
-        the listening port is bound and every worker's reader is live.
+        the listening port is bound and every worker pipe is on the loop.
         """
         if self._started:
             raise ParameterError("server is already started")
         self._started = True
         handles = []
-        for shard, shard_index in enumerate(self._sharded.shards):
-            parent_conn, child_conn = self._mp.Pipe(duplex=True)
-            worker_obs, worker_clock = self._worker_obs(shard)
-            process = self._mp.Process(
-                target=_worker_main,
-                args=(
-                    child_conn,
-                    shard_index,
-                    self._blobs,
-                    self._can_rank,
-                    self._cache_searches,
-                    self._per_shard_capacity,
-                    self._update_token,
-                    self._worker_delay_s,
-                    worker_obs,
-                    worker_clock,
-                ),
-                name=f"netserve-shard-{shard}",
-                daemon=True,
-            )
-            process.start()
-            child_conn.close()
-            handles.append(
-                _WorkerHandle(
-                    shard,
-                    process,
-                    parent_conn,
-                    CircuitBreaker(self._breaker_config),
+        # Frozen objects are never traversed by a worker's collector,
+        # so the pages of the heap each worker inherits stay shared
+        # instead of being copied on its first collection.  The
+        # parent's own collector is unchanged once it unfreezes.
+        gc.freeze()
+        try:
+            for shard, shard_index in enumerate(self._sharded.shards):
+                parent_conn, child_conn = self._mp.Pipe(duplex=True)
+                worker_obs, worker_clock = self._worker_obs(shard)
+                process = self._mp.Process(
+                    target=_worker_main,
+                    args=(
+                        child_conn,
+                        shard_index,
+                        self._blobs,
+                        self._can_rank,
+                        self._cache_searches,
+                        self._per_shard_capacity,
+                        self._update_token,
+                        self._worker_delay_s,
+                        worker_obs,
+                        worker_clock,
+                    ),
+                    name=f"netserve-shard-{shard}",
+                    daemon=True,
                 )
-            )
+                process.start()
+                child_conn.close()
+                handles.append(
+                    _WorkerHandle(
+                        shard,
+                        process,
+                        parent_conn,
+                        CircuitBreaker(self._breaker_config),
+                    )
+                )
+        finally:
+            gc.unfreeze()
         self._workers = tuple(handles)
         ready = threading.Event()
         self._loop_thread = threading.Thread(
@@ -701,7 +699,7 @@ class NetServer:
         self._bound_port = server.sockets[0].getsockname()[1]
         loop = asyncio.get_running_loop()
         for handle in self._workers:
-            handle.start_reader(loop)
+            await handle.connect(loop)
         await self._warm_up(server.sockets[0].getsockname()[0])
         ready.set()
         async with server:
@@ -720,6 +718,11 @@ class NetServer:
             task.cancel()
         if leftovers:
             await asyncio.gather(*leftovers, return_exceptions=True)
+        # Close the worker transports while the loop still runs their
+        # ``connection_lost`` callbacks; ``shutdown`` then only reaps.
+        for handle in self._workers:
+            handle.close_transport()
+        await asyncio.sleep(0)
 
     async def _warm_up(self, host: str) -> None:
         """Serve one malformed frame over loopback before going ready.

@@ -27,6 +27,7 @@ in its response.
 from __future__ import annotations
 
 import json
+import struct
 from dataclasses import dataclass, field
 
 from repro.errors import ProtocolError
@@ -278,6 +279,9 @@ def pack_frames(kind: str, fields: list[bytes]) -> bytes:
     return b"".join(parts)
 
 
+_U32 = struct.Struct(">I")
+
+
 class FrameReader:
     """Sequential reader for the binary framing.
 
@@ -320,6 +324,29 @@ class FrameReader:
             raise ProtocolError(
                 f"malformed text field: {exc}"
             ) from exc
+
+    def take_strs(self, count: int) -> tuple[str, ...]:
+        """Read the next ``count`` fields as UTF-8 text.
+
+        One loop with no call per field: a search's observations carry
+        one file id per matched document, and the front end decodes
+        them on every result-cache fill.
+        """
+        data, offset, size = self._data, self._offset, len(self._data)
+        values = []
+        try:
+            for _ in range(count):
+                (length,) = _U32.unpack_from(data, offset)
+                offset += 4 + length
+                if offset > size:
+                    raise ProtocolError("truncated binary message (field)")
+                values.append(data[offset - length:offset].decode("utf-8"))
+        except struct.error:
+            raise ProtocolError("truncated binary message (length)") from None
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(f"malformed text field: {exc}") from exc
+        self._offset = offset
+        return tuple(values)
 
     def take_count(self) -> int:
         """Read the next field as a u32 item count."""
@@ -654,7 +681,7 @@ class FileRequest:
         if detect_codec(data) == CODEC_BINARY:
             reader = FrameReader(data, "fetch")
             count = reader.take_count()
-            file_ids = tuple(reader.take_str() for _ in range(count))
+            file_ids = reader.take_strs(count)
             reader.expect_end()
             return cls(file_ids=file_ids)
         payload = _decode(data, "fetch")
@@ -934,12 +961,8 @@ class ObservedResponse:
             observations = []
             for _ in range(count):
                 address = reader.take()
-                matched = tuple(
-                    reader.take_str() for _ in range(reader.take_count())
-                )
-                returned = tuple(
-                    reader.take_str() for _ in range(reader.take_count())
-                )
+                matched = reader.take_strs(reader.take_count())
+                returned = reader.take_strs(reader.take_count())
                 observations.append((address, matched, returned))
             reader.expect_end()
             return cls(payload=payload, observations=tuple(observations))

@@ -16,12 +16,21 @@ one shard worker *process* per shard) and
 * an over-capacity burst is shed with explicit
   ``ServerOverloadedError`` responses — never a hang or a dropped
   frame — and the server stays healthy afterwards;
-* clean shutdown reaps every worker process and releases the port.
+* clean shutdown reaps every worker process and releases the port;
+* the worker pipes are served on the front-end event loop: replies in
+  ``multiprocessing`` connection framing are reassembled at any split,
+  a frame larger than the pipe's socket buffer round-trips, and no
+  per-worker thread exists.
 """
 
+import asyncio
+import copy
 import json
+import multiprocessing
+import os
 import random
 import socket
+import threading
 import time
 from collections import Counter
 
@@ -33,23 +42,30 @@ from repro.cloud.cluster import (
     routing_address,
     shard_for_address,
 )
-from repro.cloud.netserve import NetServer, NetworkChannel
+from repro.cloud.netserve import NetServer, NetworkChannel, _WorkerHandle
 from repro.cloud.network import Channel, Transport
 from repro.cloud.owner import DataOwner
 from repro.cloud.protocol import (
     CODEC_BINARY,
     CODEC_JSON,
     ErrorResponse,
+    FileRequest,
+    RankedFilesResponse,
     SearchRequest,
     SearchResponse,
     encode_frame,
 )
-from repro.cloud.retry import BreakerConfig, RetryingChannel, RetryPolicy
-from repro.cloud.updates import RemoteIndexMaintainer
+from repro.cloud.retry import (
+    BreakerConfig,
+    CircuitBreaker,
+    RetryingChannel,
+    RetryPolicy,
+)
+from repro.cloud.updates import PutBlobRequest, RemoteIndexMaintainer
 from repro.cloud.user import DataUser
 from repro.core import EfficientRSSE, TEST_PARAMETERS
 from repro.corpus.loader import Document
-from repro.errors import CallDroppedError, TransportError
+from repro.errors import CallDroppedError, ShardDownError, TransportError
 from repro.obs import Obs
 
 VOCAB = [f"term{i:02d}" for i in range(32)]
@@ -525,3 +541,179 @@ class TestProtocolHygiene:
             while len(body) < length:
                 body += raw.recv(length - len(body))
         assert SearchResponse.from_bytes(body).files
+
+
+class _RecordingTransport:
+    """Stands in for the loop's pipe transport: keeps what is written."""
+
+    def __init__(self):
+        self.written = bytearray()
+
+    def write(self, data: bytes) -> None:
+        self.written += data
+
+
+def _packed(text: str) -> bytes:
+    data = text.encode("utf-8")
+    return len(data).to_bytes(4, "big") + data
+
+
+def _rid(number: int) -> bytes:
+    return number.to_bytes(8, "big")
+
+
+def _ok_reply(number: int, response: bytes) -> bytes:
+    return _rid(number) + b"\x00" + (7).to_bytes(4, "big") + response
+
+
+def _send_bytes_stream(*messages: bytes) -> bytes:
+    """The raw bytes a real ``Connection.send_bytes`` writes per message."""
+    ours, theirs = multiprocessing.Pipe(duplex=True)
+    with ours, theirs:
+        expected = sum(4 + len(message) for message in messages)
+        for message in messages:
+            theirs.send_bytes(message)
+        stream = b""
+        while len(stream) < expected:
+            stream += os.read(ours.fileno(), expected - len(stream))
+    return stream
+
+
+_REQUESTS = (b"request-0", b"request-1", b"request-2")
+#: Replies out of request order, one of them an error and one over the
+#: 16 KiB at which ``send_bytes`` writes header and body separately.
+_REPLIES = (
+    _ok_reply(2, b"x" * 20000),
+    _ok_reply(0, b"response-0"),
+    _rid(1) + b"\x01" + _packed("KeyError") + _packed("no such list"),
+)
+_EXPECTED = [
+    (True, b"response-0", 7, ""),
+    (False, b"", 0, "KeyError\x00no such list"),
+    (True, b"x" * 20000, 7, ""),
+]
+
+
+async def _answers(chunks) -> tuple[list, bytes]:
+    """Three pipelined calls on a fresh handle, replies fed as ``chunks``.
+
+    Returns the call outcomes and the bytes the calls wrote.
+    """
+    handle = _WorkerHandle(0, None, None, CircuitBreaker())
+    transport = _RecordingTransport()
+    handle.connection_made(transport)
+    calls = [asyncio.ensure_future(handle.call(r)) for r in _REQUESTS]
+    await asyncio.sleep(0)
+    for chunk in chunks:
+        handle.data_received(chunk)
+    # Every reply is already fed: a call still pending is a parse bug.
+    answers = await asyncio.wait_for(asyncio.gather(*calls), 5.0)
+    return list(answers), bytes(transport.written)
+
+
+class TestWorkerPipe:
+    def test_requests_are_read_by_recv_bytes(self):
+        """The worker's unchanged ``recv_bytes`` loop reads what
+        ``call`` writes: rid-prefixed requests, in send order."""
+        _, written = asyncio.run(
+            _answers([_send_bytes_stream(*_REPLIES)])
+        )
+        ours, theirs = multiprocessing.Pipe(duplex=True)
+        with ours, theirs:
+            os.write(ours.fileno(), written)
+            ours.close()  # a misframed stream then ends in EOFError
+            received = [theirs.recv_bytes() for _ in _REQUESTS]
+        assert received == [
+            _rid(number) + request
+            for number, request in enumerate(_REQUESTS)
+        ]
+
+    def test_replies_reassemble_at_every_split(self):
+        """``send_bytes`` output split at every offset, several frames
+        per chunk, resolves each call with its own reply."""
+        stream = _send_bytes_stream(*_REPLIES)
+
+        async def every_split():
+            for cut in range(len(stream) + 1):
+                answers, _ = await _answers([stream[:cut], stream[cut:]])
+                assert answers == _EXPECTED, cut
+
+        asyncio.run(every_split())
+
+    def test_long_form_header(self):
+        """``-1`` then an 8-byte length (the form ``send_bytes`` uses
+        past 2 GiB) is parsed like the short form, at any split."""
+        stream = _send_bytes_stream(_REPLIES[0]) + b"".join(
+            (-1).to_bytes(4, "big", signed=True)
+            + len(reply).to_bytes(8, "big")
+            + reply
+            for reply in _REPLIES[1:]
+        )
+
+        async def every_split():
+            for cut in range(len(stream) + 1):
+                answers, _ = await _answers([stream[:cut], stream[cut:]])
+                assert answers == _EXPECTED, cut
+
+        asyncio.run(every_split())
+
+    def test_lost_pipe_fails_pending_and_later_calls(self):
+        async def scenario():
+            handle = _WorkerHandle(3, None, None, CircuitBreaker())
+            handle.connection_made(_RecordingTransport())
+            pending = asyncio.ensure_future(handle.call(b"request"))
+            await asyncio.sleep(0)
+            handle.connection_lost(None)
+            with pytest.raises(ShardDownError, match="shard 3"):
+                await asyncio.wait_for(pending, 5.0)
+            with pytest.raises(ShardDownError, match="shard 3"):
+                await handle.call(b"request")
+            assert handle.alive is False
+
+        asyncio.run(scenario())
+
+    def test_start_creates_no_worker_threads(self, world, golden):
+        with fresh_server(world) as srv, NetworkChannel(
+            srv.host, srv.port
+        ) as channel:
+            channel.call_many(golden)
+            names = [thread.name for thread in threading.enumerate()]
+        assert "netserve-frontend" in names
+        assert not [
+            name for name in names if name.startswith("netserve-worker-")
+        ]
+
+    @pytest.mark.parametrize("codec", (CODEC_BINARY, CODEC_JSON))
+    def test_large_blob_broadcast_matches_cluster(self, world, codec):
+        """A 4 MiB ``put-blob`` — larger than the pipe's socket buffer,
+        below the frame cap — reaches all four workers, and its ack is
+        byte-identical to the in-process cluster's."""
+        _, _, outsourcing = world
+        blob = random.Random(7).randbytes(4 << 20)
+        put = PutBlobRequest(token=TOKEN, file_id="big", blob=blob)
+        frame = put.to_bytes(codec)
+        cluster = ClusterServer(
+            outsourcing.secure_index,
+            copy.deepcopy(outsourcing.blob_store),
+            can_rank=True,
+            num_shards=NUM_SHARDS,
+            update_token=TOKEN,
+        )
+        with cluster, NetServer(
+            outsourcing.secure_index,
+            copy.deepcopy(outsourcing.blob_store),
+            can_rank=True,
+            num_shards=NUM_SHARDS,
+            update_token=TOKEN,
+        ) as srv, NetworkChannel(srv.host, srv.port) as channel:
+            assert channel.call(frame) == cluster.handle(frame)
+            # Each worker's replica, asked over its own pipe: a reply
+            # as large as the request comes back through the loop.
+            fetch = FileRequest(file_ids=("big",)).to_bytes(codec)
+            for handle in srv._workers:
+                ok, response, _, _ = asyncio.run_coroutine_threadsafe(
+                    handle.call(fetch), srv._loop
+                ).result(timeout=30)
+                assert ok
+                files = RankedFilesResponse.from_bytes(response).files
+                assert files == (("big", blob),)

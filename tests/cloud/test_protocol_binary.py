@@ -21,10 +21,12 @@ from repro.cloud.protocol import (
     FileRequest,
     MultiSearchRequest,
     MultiSearchResponse,
+    ObservedResponse,
     RankedFilesResponse,
     SearchRequest,
     SearchResponse,
     detect_codec,
+    pack_frames,
     pack_multi_score,
     pack_partial_score,
     peek_kind,
@@ -90,6 +92,19 @@ class TestBinaryFraming:
         with pytest.raises(ProtocolError):
             SearchRequest.from_bytes(data[:-3])
 
+    def test_truncated_text_fields_rejected_at_every_length(self):
+        data = FileRequest(file_ids=("a", "bb", "ccc")).to_bytes(
+            CODEC_BINARY
+        )
+        for end in range(1, len(data)):
+            with pytest.raises(ProtocolError, match="truncated"):
+                FileRequest.from_bytes(data[:end])
+
+    def test_non_utf8_text_field_rejected(self):
+        data = pack_frames("fetch", [(1).to_bytes(4, "big"), b"\xff"])
+        with pytest.raises(ProtocolError, match="malformed text field"):
+            FileRequest.from_bytes(data)
+
     def test_trailing_bytes_rejected(self):
         data = SearchRequest(trapdoor_bytes=b"\x01").to_bytes(CODEC_BINARY)
         with pytest.raises(ProtocolError):
@@ -151,6 +166,27 @@ class TestRoundtripProperties:
             data = message.to_bytes(codec)
             assert peek_kind(data) == "fetch"
             assert FileRequest.from_bytes(data) == message
+
+    @settings(max_examples=50)
+    @given(
+        payload=st.binary(min_size=1, max_size=64),
+        observations=st.lists(
+            st.tuples(
+                st.binary(max_size=32),
+                st.lists(file_ids, max_size=8).map(tuple),
+                st.lists(file_ids, max_size=8).map(tuple),
+            ),
+            max_size=4,
+        ),
+    )
+    def test_observed_response(self, payload, observations):
+        message = ObservedResponse(
+            payload=payload, observations=tuple(observations)
+        )
+        for codec in (CODEC_JSON, CODEC_BINARY):
+            data = message.to_bytes(codec)
+            assert peek_kind(data) == "observed-response"
+            assert ObservedResponse.from_bytes(data) == message
 
     @settings(max_examples=50)
     @given(files=st.lists(pairs, max_size=8))
