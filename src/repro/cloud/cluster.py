@@ -46,6 +46,7 @@ from repro.cloud.protocol import (
     MultiSearchRequest,
     MultiSearchResponse,
     SearchRequest,
+    check_partial_scores,
     detect_codec,
     pack_multi_score,
     pack_partial_score,
@@ -182,7 +183,40 @@ def merge_partial_matches(
     ascending file-id order — the same candidate order a single
     server's aggregation produces, so the coordinator's final
     :func:`repro.ir.topk.rank_pairs` cut breaks ties identically.
+    A wrong-length score field anywhere raises
+    :class:`~repro.errors.ProtocolError`.
     """
+    if not partials:
+        return []
+    if mode == MODE_CONJUNCTIVE:
+        # Intersect on file ids first, probing from the smallest
+        # shard; only files present in every shard get their score
+        # fields unpacked.
+        fields_by_shard: list[dict[str, bytes]] = []
+        for matches in partials:
+            check_partial_scores(matches)
+            fields_by_shard.append(dict(matches))
+        smallest = min(fields_by_shard, key=len)
+        others = [m for m in fields_by_shard if m is not smallest]
+        merged: list[tuple[str, int, int]] = []
+        for file_id in sorted(smallest):
+            fields = [smallest[file_id]]
+            for shard_map in others:
+                score_field = shard_map.get(file_id)
+                if score_field is None:
+                    break
+                fields.append(score_field)
+            else:
+                total = count = 0
+                for score_field in fields:
+                    shard_total, shard_count = unpack_partial_score(
+                        score_field
+                    )
+                    total += shard_total
+                    count += shard_count
+                if count == total_terms:
+                    merged.append((file_id, total, count))
+        return merged
     per_shard: list[dict[str, tuple[int, int]]] = [
         {
             file_id: unpack_partial_score(score_field)
@@ -190,24 +224,6 @@ def merge_partial_matches(
         }
         for matches in partials
     ]
-    if not per_shard:
-        return []
-    if mode == MODE_CONJUNCTIVE:
-        smallest = min(per_shard, key=len)
-        others = [m for m in per_shard if m is not smallest]
-        merged: list[tuple[str, int, int]] = []
-        for file_id in sorted(smallest):
-            total, count = smallest[file_id]
-            for shard_map in others:
-                entry = shard_map.get(file_id)
-                if entry is None:
-                    break
-                total += entry[0]
-                count += entry[1]
-            else:
-                if count == total_terms:
-                    merged.append((file_id, total, count))
-        return merged
     sums: dict[str, tuple[int, int]] = {}
     for shard_map in per_shard:
         for file_id, (total, count) in shard_map.items():

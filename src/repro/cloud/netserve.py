@@ -431,12 +431,14 @@ class NetServer:
         cache's misses.  Mutations invalidate by epoch:
         ``update-list`` bumps its owning shard, blob broadcasts bump
         every shard, and error/partial responses are never cached, so
-        responses are byte-identical with the cache on or off.  Cache
-        hits still record their search/access-pattern observations
-        (captured at fill time via
+        responses are byte-identical with the cache on or off.  With
+        ``obs`` set, cache hits still record their
+        search/access-pattern observations (captured at fill time via
         :class:`~repro.cloud.protocol.ObservedRequest` envelopes and
         replayed into the front end's leakage log), so the merged
-        cluster artifact keeps exact leakage counts.
+        cluster artifact keeps exact leakage counts.  Without ``obs``
+        there is no log to replay into: fills send the bare client
+        frame and entries hold no observations.
     max_inflight_per_conn:
         Per-connection admission window; past it the server stops
         reading the socket (TCP pushes back on the client).
@@ -1028,6 +1030,9 @@ class NetServer:
                 code=type(exc).__name__, detail=str(exc)
             ).to_bytes(codec)
         cache = self._result_cache
+        # Fills capture observations only for a leakage log to replay;
+        # without one the worker sees the bare client frame.
+        observe = self._obs is not None
         if request is not None:
             if cache is not None and not request.partial:
                 return await self._serve_cached(
@@ -1036,7 +1041,7 @@ class NetServer:
                     span,
                     shards,
                     lambda: self._fan_out(
-                        frame, codec, span, request, sub_requests, True
+                        frame, codec, span, request, sub_requests, observe
                     ),
                 )
             response, _ = await self._fan_out(
@@ -1052,7 +1057,9 @@ class NetServer:
                     codec,
                     span,
                     shards,
-                    lambda: self._dispatch(shard, frame, codec, span, True),
+                    lambda: self._dispatch(
+                        shard, frame, codec, span, observe
+                    ),
                 )
         if kind in _BROADCAST_KINDS:
             return await self._broadcast(frame, codec, span, shard)
@@ -1103,8 +1110,8 @@ class NetServer:
         """The fast lane: cache lookup, then single-flight, then fill.
 
         ``serve`` runs the frame's worker round trip, capturing the
-        observations a later hit replays; ``shards`` are the shards
-        the response depends on.
+        observations a later hit replays (none without a leakage
+        log); ``shards`` are the shards the response depends on.
         """
         cache = self._result_cache
         assert cache is not None

@@ -132,6 +132,19 @@ def unpack_partial_score(score_field: bytes) -> tuple[int, int]:
     )
 
 
+def check_partial_scores(matches: tuple[tuple[str, bytes], ...]) -> None:
+    """Reject ``matches`` unless every score field is a partial field.
+
+    The length check of :func:`unpack_partial_score` without the
+    unpacking, for a merge that unpacks only the files it keeps.
+    """
+    for length in {len(score_field) for _, score_field in matches}:
+        if length != PARTIAL_SCORE_BYTES:
+            raise ProtocolError(
+                f"malformed partial score field of {length} bytes"
+            )
+
+
 def require_codec(codec: str) -> str:
     """Validate a codec name (returns it for chaining)."""
     if codec not in CODECS:
@@ -348,6 +361,35 @@ class FrameReader:
         self._offset = offset
         return tuple(values)
 
+    def take_pairs(self, count: int) -> tuple[tuple[str, bytes], ...]:
+        """Read the next ``count`` ``(text, bytes)`` field pairs.
+
+        One loop, like :meth:`take_strs`, with the same truncation and
+        UTF-8 errors: search, multi-search and files responses carry
+        one pair per match or file, and the front end decodes every
+        shard's multi-search partials.
+        """
+        data, offset, size = self._data, self._offset, len(self._data)
+        pairs = []
+        try:
+            for _ in range(count):
+                (length,) = _U32.unpack_from(data, offset)
+                offset += 4 + length
+                if offset > size:
+                    raise ProtocolError("truncated binary message (field)")
+                text = data[offset - length:offset].decode("utf-8")
+                (length,) = _U32.unpack_from(data, offset)
+                offset += 4 + length
+                if offset > size:
+                    raise ProtocolError("truncated binary message (field)")
+                pairs.append((text, data[offset - length:offset]))
+        except struct.error:
+            raise ProtocolError("truncated binary message (length)") from None
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(f"malformed text field: {exc}") from exc
+        self._offset = offset
+        return tuple(pairs)
+
     def take_count(self) -> int:
         """Read the next field as a u32 item count."""
         data = self.take()
@@ -375,10 +417,7 @@ def _pack_pairs(pairs: tuple[tuple[str, bytes], ...]) -> list[bytes]:
 
 
 def _take_pairs(reader: FrameReader) -> tuple[tuple[str, bytes], ...]:
-    count = reader.take_count()
-    return tuple(
-        (reader.take_str(), reader.take()) for _ in range(count)
-    )
+    return reader.take_pairs(reader.take_count())
 
 
 def peek_kind(request_bytes: bytes) -> str:
@@ -883,7 +922,9 @@ class ObservedRequest:
     delta its dispatch appended and ship it back alongside the response
     (:class:`ObservedResponse`).  ``payload`` is any ordinary request in
     either codec; when tracing is also on the traced envelope wraps
-    *this* one (traced is always outermost).
+    *this* one (traced is always outermost).  Fills use it only when
+    the front end keeps a leakage log (``obs`` set); otherwise nothing
+    would replay the observations, and the worker gets the bare frame.
     """
 
     payload: bytes

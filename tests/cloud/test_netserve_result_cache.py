@@ -16,6 +16,9 @@ cache over real sockets:
   (:func:`repro.analysis.leakage.server_log_from_events`) keeps exact
   search- and access-pattern counts — one observation per answered
   query, hit or miss;
+* without a leakage log (``obs=None``) fills send the bare client
+  frame, with no observation envelope, and cache entries hold no
+  observations;
 * the admin health document reports the cache's counters.
 """
 
@@ -26,7 +29,9 @@ from collections import Counter
 import pytest
 
 from repro.analysis.leakage import server_log_from_events
-from repro.cloud.netserve import NetServer, NetworkChannel
+from repro.cloud.cache import ResultCache
+from repro.cloud.cluster import ClusterServer
+from repro.cloud.netserve import NetServer, NetworkChannel, _WorkerHandle
 from repro.cloud.network import Channel
 from repro.cloud.owner import DataOwner
 from repro.cloud.protocol import (
@@ -36,6 +41,7 @@ from repro.cloud.protocol import (
     MODE_DISJUNCTIVE,
     MultiSearchRequest,
     SearchRequest,
+    peek_kind,
 )
 from repro.cloud.updates import RemoteIndexMaintainer
 from repro.core import EfficientRSSE, TEST_PARAMETERS
@@ -225,6 +231,59 @@ class TestLeakageExactness:
             )
 
         assert pattern(cached_log) == pattern(plain_log)
+
+
+class TestUntracedFillsSendBareFrames:
+    """With no leakage log, nothing replays fill-time observations."""
+
+    def test_fills_send_bare_frames_and_cache_no_observations(
+        self, world, monkeypatch
+    ):
+        _, _, outsourcing = world
+        sent: list[bytes] = []
+        real_call = _WorkerHandle.call
+
+        async def spy(handle, request):
+            sent.append(request)
+            return await real_call(handle, request)
+
+        monkeypatch.setattr(_WorkerHandle, "call", spy)
+        cases = [
+            (codec, frame)
+            for codec in (CODEC_JSON, CODEC_BINARY)
+            for frame in [
+                search_bytes(world, keyword, codec)
+                for keyword in VOCAB[:6]
+            ]
+            + [
+                multi_bytes(world, VOCAB[:3], MODE_CONJUNCTIVE, codec),
+                multi_bytes(world, VOCAB[3:7], MODE_DISJUNCTIVE, codec),
+            ]
+        ]
+        with ClusterServer(
+            outsourcing.secure_index,
+            outsourcing.blob_store,
+            can_rank=True,
+            num_shards=NUM_SHARDS,
+        ) as reference, make_server(
+            world, result_cache_bytes=CACHE_BYTES
+        ) as server, NetworkChannel(server.host, server.port) as channel:
+            for _, frame in cases:
+                expected = reference.handle(frame)
+                assert channel.call(frame) == expected  # fill
+                assert channel.call(frame) == expected  # hit
+            cache = server.result_cache
+            assert cache.stats()["entries"] == len(cases)
+            for codec, frame in cases:
+                entry = cache.get(ResultCache.key_for(codec, frame))
+                assert entry is not None
+                assert not entry.payload
+        # Every fill reached a worker: one call per search, one per
+        # owning shard of each multi-search.
+        assert len(sent) >= len(cases)
+        assert [
+            request for request in sent if peek_kind(request) == "observed"
+        ] == []
 
 
 class TestAdminHealth:

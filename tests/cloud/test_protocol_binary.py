@@ -93,17 +93,32 @@ class TestBinaryFraming:
             SearchRequest.from_bytes(data[:-3])
 
     def test_truncated_text_fields_rejected_at_every_length(self):
-        data = FileRequest(file_ids=("a", "bb", "ccc")).to_bytes(
-            CODEC_BINARY
-        )
-        for end in range(1, len(data)):
-            with pytest.raises(ProtocolError, match="truncated"):
-                FileRequest.from_bytes(data[:end])
+        pairs = (("a", b"\x01" * 12), ("bb", b""), ("ccc", b"\x02" * 3))
+        messages = [
+            FileRequest(file_ids=("a", "bb", "ccc")),
+            # (text, bytes) pairs: the search, multi-search and files
+            # responses all decode through ``take_pairs``.
+            SearchResponse(matches=pairs, files=pairs[:2]),
+            MultiSearchResponse(matches=pairs, files=pairs[1:]),
+            RankedFilesResponse(files=pairs),
+        ]
+        for message in messages:
+            data = message.to_bytes(CODEC_BINARY)
+            assert type(message).from_bytes(data) == message
+            for end in range(1, len(data)):
+                with pytest.raises(ProtocolError, match="truncated"):
+                    type(message).from_bytes(data[:end])
 
     def test_non_utf8_text_field_rejected(self):
         data = pack_frames("fetch", [(1).to_bytes(4, "big"), b"\xff"])
         with pytest.raises(ProtocolError, match="malformed text field"):
             FileRequest.from_bytes(data)
+
+    def test_non_utf8_pair_file_id_rejected(self):
+        count = (1).to_bytes(4, "big")
+        data = pack_frames("files", [count, b"\xff", b"blob"])
+        with pytest.raises(ProtocolError, match="malformed text field"):
+            RankedFilesResponse.from_bytes(data)
 
     def test_trailing_bytes_rejected(self):
         data = SearchRequest(trapdoor_bytes=b"\x01").to_bytes(CODEC_BINARY)
