@@ -25,7 +25,9 @@ Gates (machine-independent):
   single-flight leader, proven via the cache's ``misses`` counter
   (which counts actual worker dispatches through the cached path).
 
-The report lands in ``benchmarks/results/BENCH_hot_query.json``;
+The report lands in ``benchmarks/results/BENCH_hot_query.json``
+(``--smoke`` runs and the pytest entry point write the gitignored
+``BENCH_hot_query.smoke.json`` instead);
 ``--check-baseline`` adds a 30% throughput floor against the committed
 ``BENCH_hot_query_baseline.json`` (skipped with a note when the core
 counts differ — latency on a different machine shape is not
@@ -71,6 +73,9 @@ BASELINE_TOLERANCE = 0.30
 RESULTS_DIR = Path(__file__).parent / "results"
 BASELINE_PATH = RESULTS_DIR / "BENCH_hot_query_baseline.json"
 REPORT_PATH = RESULTS_DIR / "BENCH_hot_query.json"
+#: Where ``--smoke`` runs (and the pytest entry point) write instead:
+#: gitignored, so a local gate run never overwrites the committed report.
+SMOKE_REPORT_PATH = RESULTS_DIR / "BENCH_hot_query.smoke.json"
 
 
 def available_cores() -> int:
@@ -230,7 +235,9 @@ def measure_burst(secure_index, blobs, frame) -> dict:
         }
 
 
-def run_benchmark(keywords: int, queries: int) -> dict:
+def run_benchmark(
+    keywords: int, queries: int, report_path: Path = REPORT_PATH
+) -> dict:
     scheme, key, secure_index, blobs = build_deployment(keywords)
     names = [f"kw{i:03d}" for i in range(keywords)]
     terms = zipf_queries(
@@ -270,7 +277,7 @@ def run_benchmark(keywords: int, queries: int) -> dict:
         "max_burst_dispatches": MAX_BURST_DISPATCHES,
     }
     RESULTS_DIR.mkdir(exist_ok=True)
-    REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n")
+    report_path.write_text(json.dumps(report, indent=2) + "\n")
     return report
 
 
@@ -353,7 +360,9 @@ def format_report(report: dict) -> str:
 
 def test_hot_query_cache_gates():
     """Pytest entry point at smoke scale (the CI hot-query-smoke step)."""
-    report = run_benchmark(keywords=12, queries=240)
+    report = run_benchmark(
+        keywords=12, queries=240, report_path=SMOKE_REPORT_PATH
+    )
     print(format_report(report))
     assert not check_gates(report), check_gates(report)
 
@@ -378,7 +387,11 @@ if __name__ == "__main__":
     arguments = parser.parse_args()
     keyword_count = arguments.keywords or (12 if arguments.smoke else 24)
     query_count = arguments.queries or (240 if arguments.smoke else 1200)
-    bench_report = run_benchmark(keyword_count, query_count)
+    bench_report = run_benchmark(
+        keyword_count,
+        query_count,
+        report_path=SMOKE_REPORT_PATH if arguments.smoke else REPORT_PATH,
+    )
     print(format_report(bench_report))
     problems = check_gates(bench_report)
     if arguments.check_baseline:

@@ -25,7 +25,10 @@ Gates:
   recorded floor.
 
 Run standalone (``python benchmarks/bench_multi_keyword.py [--smoke]
-[--check-baseline]``) or through pytest.
+[--check-baseline]``) or through pytest.  The report lands in
+``benchmarks/results/BENCH_multi_keyword.json`` (``--smoke`` runs and
+the pytest entry point write the gitignored
+``BENCH_multi_keyword.smoke.json`` instead).
 
 **Ranking ablation** (``test_multi_keyword_ranking_quality``) — the
 Section VIII honesty measurement: Kendall tau and top-k overlap
@@ -94,6 +97,9 @@ GATE_SHARDS = "shards4"
 RESULTS_DIR = Path(__file__).parent / "results"
 BASELINE_PATH = RESULTS_DIR / "BENCH_multi_keyword_baseline.json"
 REPORT_PATH = RESULTS_DIR / "BENCH_multi_keyword.json"
+#: Where ``--smoke`` runs (and the pytest entry point) write instead:
+#: gitignored, so a local gate run never overwrites the committed report.
+SMOKE_REPORT_PATH = RESULTS_DIR / "BENCH_multi_keyword.smoke.json"
 
 QUERIES = (
     ["network"],
@@ -334,6 +340,7 @@ def run_benchmark(
     queries_per_cell: int,
     vocabulary_size: int = 24,
     seed: int = 2010,
+    report_path: Path = REPORT_PATH,
 ) -> dict:
     scheme, key, index, secure_index, blobs, vocabulary = build_deployment(
         num_documents, vocabulary_size, seed
@@ -408,7 +415,7 @@ def run_benchmark(
         ),
     }
     RESULTS_DIR.mkdir(exist_ok=True)
-    REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n")
+    report_path.write_text(json.dumps(report, indent=2) + "\n")
     return report
 
 
@@ -495,7 +502,11 @@ def format_report(report: dict) -> str:
 
 def test_multi_keyword_fastpath_gates():
     """Pytest entry point at smoke scale (the CI multi-keyword step)."""
-    report = run_benchmark(num_documents=60, queries_per_cell=24)
+    report = run_benchmark(
+        num_documents=60,
+        queries_per_cell=24,
+        report_path=SMOKE_REPORT_PATH,
+    )
     print(format_report(report))
     assert not check_gates(report), check_gates(report)
 
@@ -601,7 +612,11 @@ if __name__ == "__main__":
     arguments = parser.parse_args()
     documents = arguments.docs or (60 if arguments.smoke else 200)
     per_cell = arguments.queries or (24 if arguments.smoke else 120)
-    bench_report = run_benchmark(documents, per_cell)
+    bench_report = run_benchmark(
+        documents,
+        per_cell,
+        report_path=SMOKE_REPORT_PATH if arguments.smoke else REPORT_PATH,
+    )
     print(format_report(bench_report))
     problems = check_gates(bench_report)
     if arguments.check_baseline:

@@ -26,7 +26,9 @@ the socket path must still deliver >= 0.25x in-process throughput.
 The core count is recorded in the report so a committed baseline is
 never compared across machine shapes.
 
-The report lands in ``benchmarks/results/BENCH_network.json``;
+The report lands in ``benchmarks/results/BENCH_network.json``
+(``--smoke`` runs and the pytest entry point write the gitignored
+``BENCH_network.smoke.json`` instead);
 ``--check-baseline`` adds a 30% floor against the committed
 ``BENCH_network_baseline.json`` (skipped with a warning when the core
 counts differ).
@@ -67,6 +69,9 @@ TELEMETRY_QUERIES = 24
 RESULTS_DIR = Path(__file__).parent / "results"
 BASELINE_PATH = RESULTS_DIR / "BENCH_network_baseline.json"
 REPORT_PATH = RESULTS_DIR / "BENCH_network.json"
+#: Where ``--smoke`` runs (and the pytest entry point) write instead:
+#: gitignored, so a local gate run never overwrites the committed report.
+SMOKE_REPORT_PATH = RESULTS_DIR / "BENCH_network.smoke.json"
 TELEMETRY_PATH = RESULTS_DIR / "obs_network_cluster.jsonl"
 
 
@@ -209,7 +214,10 @@ def dump_cluster_telemetry(secure_index, blobs, workload) -> dict:
 
 
 def run_benchmark(
-    keywords: int, queries: int, batch_size: int = 32
+    keywords: int,
+    queries: int,
+    batch_size: int = 32,
+    report_path: Path = REPORT_PATH,
 ) -> dict:
     scheme, key, secure_index, blobs = build_deployment(keywords)
     names = [f"kw{i:03d}" for i in range(keywords)]
@@ -273,7 +281,7 @@ def run_benchmark(
         "telemetry": telemetry,
     }
     RESULTS_DIR.mkdir(exist_ok=True)
-    REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n")
+    report_path.write_text(json.dumps(report, indent=2) + "\n")
     return report
 
 
@@ -347,7 +355,9 @@ def format_report(report: dict) -> str:
 
 def test_network_serving_gates():
     """Pytest entry point at smoke scale (the CI network-smoke step)."""
-    report = run_benchmark(keywords=8, queries=160)
+    report = run_benchmark(
+        keywords=8, queries=160, report_path=SMOKE_REPORT_PATH
+    )
     print(format_report(report))
     assert not check_gates(report), check_gates(report)
 
@@ -372,7 +382,11 @@ if __name__ == "__main__":
     arguments = parser.parse_args()
     keyword_count = arguments.keywords or (8 if arguments.smoke else 16)
     query_count = arguments.queries or (160 if arguments.smoke else 640)
-    bench_report = run_benchmark(keyword_count, query_count)
+    bench_report = run_benchmark(
+        keyword_count,
+        query_count,
+        report_path=SMOKE_REPORT_PATH if arguments.smoke else REPORT_PATH,
+    )
     print(format_report(bench_report))
     problems = check_gates(bench_report)
     if arguments.check_baseline:

@@ -11,9 +11,10 @@ through two code paths that produce byte-identical output:
   tree (every bucket miss pays the full descent's HGD draws) and a
   fresh ``CoinStream`` keying per mapped entry.
 
-The report lands in ``benchmarks/results/BENCH_opm.json`` with
-entries/sec for both paths, HGD draws per keyword build, and wall
-times.  Two kinds of gates:
+The report lands in ``benchmarks/results/BENCH_opm.json`` (``--smoke``
+runs and the pytest entry point write the gitignored
+``BENCH_opm.smoke.json`` instead) with entries/sec for both paths,
+HGD draws per keyword build, and wall times.  Two kinds of gates:
 
 * machine-independent (always checked by ``test_opm_fastpath_gates``):
   the fast path must do >= 5x fewer HGD draws per keyword build and
@@ -54,6 +55,9 @@ BASELINE_TOLERANCE = 0.30
 RESULTS_DIR = Path(__file__).parent / "results"
 BASELINE_PATH = RESULTS_DIR / "BENCH_opm_baseline.json"
 REPORT_PATH = RESULTS_DIR / "BENCH_opm.json"
+#: Where ``--smoke`` runs (and the pytest entry point) write instead:
+#: gitignored, so a local gate run never overwrites the committed report.
+SMOKE_REPORT_PATH = RESULTS_DIR / "BENCH_opm.smoke.json"
 
 
 def make_workload(num_entries: int) -> list[tuple[int, bytes]]:
@@ -134,7 +138,9 @@ def check_equivalence(items: list[tuple[int, bytes]]) -> None:
             )
 
 
-def run_benchmark(num_entries: int, repeats: int = 3) -> dict:
+def run_benchmark(
+    num_entries: int, repeats: int = 3, report_path: Path = REPORT_PATH
+) -> dict:
     items = make_workload(num_entries)
     check_equivalence(items[: min(64, len(items))])
 
@@ -175,7 +181,7 @@ def run_benchmark(num_entries: int, repeats: int = 3) -> dict:
         ),
     }
     RESULTS_DIR.mkdir(exist_ok=True)
-    REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n")
+    report_path.write_text(json.dumps(report, indent=2) + "\n")
     return report
 
 
@@ -234,7 +240,9 @@ def format_report(report: dict) -> str:
 
 def test_opm_fastpath_gates():
     """Pytest entry point at smoke scale (the CI perf-smoke step)."""
-    report = run_benchmark(num_entries=2000, repeats=2)
+    report = run_benchmark(
+        num_entries=2000, repeats=2, report_path=SMOKE_REPORT_PATH
+    )
     print(format_report(report))
     assert not check_gates(report), check_gates(report)
 
@@ -258,7 +266,11 @@ if __name__ == "__main__":
     )
     arguments = parser.parse_args()
     entries = arguments.entries or (2000 if arguments.smoke else 10000)
-    bench_report = run_benchmark(entries, arguments.repeats)
+    bench_report = run_benchmark(
+        entries,
+        arguments.repeats,
+        report_path=SMOKE_REPORT_PATH if arguments.smoke else REPORT_PATH,
+    )
     print(format_report(bench_report))
     problems = check_gates(bench_report)
     if arguments.check_baseline:

@@ -18,7 +18,9 @@ overhaul touches:
   measured through the grouped batch fan-out
   (``handle_many``) and p50/p99 latency from per-request dispatch.
 
-The report lands in ``benchmarks/results/BENCH_serving.json``.  Gates:
+The report lands in ``benchmarks/results/BENCH_serving.json``
+(``--smoke`` runs and the pytest entry point write the gitignored
+``BENCH_serving.smoke.json`` instead).  Gates:
 
 * machine-independent (always checked by
   ``test_serving_throughput_gates``): warm throughput >= 3x the legacy
@@ -71,6 +73,9 @@ WARM_KEYWORDS = 8
 RESULTS_DIR = Path(__file__).parent / "results"
 BASELINE_PATH = RESULTS_DIR / "BENCH_serving_baseline.json"
 REPORT_PATH = RESULTS_DIR / "BENCH_serving.json"
+#: Where ``--smoke`` runs (and the pytest entry point) write instead:
+#: gitignored, so a local gate run never overwrites the committed report.
+SMOKE_REPORT_PATH = RESULTS_DIR / "BENCH_serving.smoke.json"
 
 
 class LegacyWarmServer:
@@ -252,6 +257,7 @@ def run_benchmark(
     cold_queries: int,
     cold_keywords: int = 32,
     batch_size: int = 32,
+    report_path: Path = REPORT_PATH,
 ) -> dict:
     scheme, key, secure_index, blobs = build_deployment(
         posting_length, cold_keywords
@@ -358,7 +364,7 @@ def run_benchmark(
         "cold_codec_speedup": cold_codec_speedup,
     }
     RESULTS_DIR.mkdir(exist_ok=True)
-    REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n")
+    report_path.write_text(json.dumps(report, indent=2) + "\n")
     return report
 
 
@@ -438,6 +444,7 @@ def test_serving_throughput_gates():
         warm_queries=300,
         cold_queries=120,
         cold_keywords=16,
+        report_path=SMOKE_REPORT_PATH,
     )
     print(format_report(report))
     assert not check_gates(report), check_gates(report)
@@ -470,6 +477,7 @@ if __name__ == "__main__":
         warm,
         cold,
         cold_keywords=16 if arguments.smoke else 32,
+        report_path=SMOKE_REPORT_PATH if arguments.smoke else REPORT_PATH,
     )
     print(format_report(bench_report))
     problems = check_gates(bench_report)

@@ -30,7 +30,9 @@ RSS, load seconds, QPS, p50/p99 latency, and a SHA-256 digest over
 every response *and* every raw posting block it looked up — the
 dict-vs-mmap digest comparison is the bench's byte-identity guard.
 
-The report lands in ``benchmarks/results/BENCH_storage.json``.  Gates:
+The report lands in ``benchmarks/results/BENCH_storage.json``
+(``--smoke`` runs and the pytest entry point write the gitignored
+``BENCH_storage.smoke.json`` instead).  Gates:
 
 * machine-independent (``check_gates``): dict and mmap digests equal,
   mmap net RSS <= 25% of dict net RSS, mmap cold p99 <= 2x dict cold
@@ -84,6 +86,9 @@ LAYOUT = EntryLayout(zero_pad_bytes=4, file_id_bytes=24, score_bytes=3)
 RESULTS_DIR = Path(__file__).parent / "results"
 BASELINE_PATH = RESULTS_DIR / "BENCH_storage_baseline.json"
 REPORT_PATH = RESULTS_DIR / "BENCH_storage.json"
+#: Where ``--smoke`` runs (and the pytest entry point) write instead:
+#: gitignored, so a local gate run never overwrites the committed report.
+SMOKE_REPORT_PATH = RESULTS_DIR / "BENCH_storage.smoke.json"
 
 
 def derive_addresses(terms: int, seed: int) -> list[bytes]:
@@ -286,6 +291,7 @@ def run_benchmark(
     queries: int,
     seed: int = 2010,
     keep_fixture: Path | None = None,
+    report_path: Path = REPORT_PATH,
 ) -> dict:
     """Build the fixture, run the three children, assemble the report."""
     import tempfile
@@ -343,7 +349,7 @@ def run_benchmark(
         ),
     }
     RESULTS_DIR.mkdir(exist_ok=True)
-    REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n")
+    report_path.write_text(json.dumps(report, indent=2) + "\n")
     return report
 
 
@@ -426,7 +432,12 @@ def test_storage_engine_gates():
     relaxed latency ratio guard the correctness-critical properties on
     every tier-1 run.
     """
-    report = run_benchmark(terms=600, average_entries=40, queries=150)
+    report = run_benchmark(
+        terms=600,
+        average_entries=40,
+        queries=150,
+        report_path=SMOKE_REPORT_PATH,
+    )
     print(format_report(report))
     assert report["digests_match"], "dict and mmap children disagree"
     assert report["cold"]["p99_ratio"] < 2 * MAX_P99_RATIO, report["cold"]
@@ -466,7 +477,13 @@ if __name__ == "__main__":
     terms = arguments.terms or (2000 if arguments.smoke else 20000)
     average = arguments.average_entries or (120 if arguments.smoke else 120)
     queries = arguments.queries or (400 if arguments.smoke else 1000)
-    bench_report = run_benchmark(terms, average, queries, arguments.seed)
+    bench_report = run_benchmark(
+        terms,
+        average,
+        queries,
+        arguments.seed,
+        report_path=SMOKE_REPORT_PATH if arguments.smoke else REPORT_PATH,
+    )
     print(format_report(bench_report))
     problems = check_gates(bench_report)
     if arguments.check_baseline:

@@ -284,10 +284,10 @@ class ShardedIndex:
     """A :class:`SecureIndex` partitioned across ``N`` shards by address.
 
     Presents the same owner/server surface as :class:`SecureIndex`
-    (``add_list`` / ``replace_list`` / ``lookup`` / ``items`` / sizes /
-    serialization) while storing each posting list in the shard its
-    address hashes to.  Every per-list operation touches exactly one
-    shard.
+    (``add_list`` / ``replace_list`` / ``append_entries`` / ``lookup`` /
+    ``items`` / sizes / serialization) while storing each posting list
+    in the shard its address hashes to.  Every per-list operation
+    touches exactly one shard.
 
     Parameters
     ----------
@@ -478,9 +478,20 @@ class ShardedIndex:
         """Replace an existing list in its owning shard."""
         self.shard_for(address).replace_list(address, encrypted_entries)
 
+    def append_entries(
+        self, address: bytes, encrypted_entries: list[bytes]
+    ) -> list[bytes]:
+        """Append to an existing list in its owning shard."""
+        return self.shard_for(address).append_entries(
+            address, encrypted_entries
+        )
+
     def lookup(self, address: bytes) -> list[bytes] | None:
         """Fetch the entries at ``address`` from its owning shard."""
         return self.shard_for(address).lookup(address)
+
+    def __contains__(self, address: bytes) -> bool:
+        return address in self.shard_for(address)
 
     def items(self) -> Iterator[tuple[bytes, list[bytes]]]:
         """All lists across shards, merged back into address order."""

@@ -14,11 +14,12 @@ paper's threat model.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import threading
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import MutableSequence
+from typing import MutableSequence, Sequence
 
 from repro.cloud.cache import DEFAULT_CACHE_CAPACITY, LruCache
 from repro.cloud.protocol import (
@@ -169,7 +170,11 @@ class ServerLog:
         }
 
 
-@dataclass(frozen=True)
+def _descending_opm(match: ServerMatch) -> int:
+    return -match.opm_value()
+
+
+@dataclass
 class CachedPostings:
     """One decrypted posting list, as the warm cache stores it.
 
@@ -183,6 +188,13 @@ class CachedPostings:
     stores nothing the server could not always compute.  ``ranked`` is
     ``None`` for the basic scheme (``can_rank=False``: score fields
     are semantically secure, the server cannot sort them).
+
+    An owner append keeps the entry warm: the server holds no list key
+    at update time, so it only extends ``pending`` with the appended
+    ciphertexts.  The next search of the address carries the key in
+    its trapdoor; it decrypts just those entries and folds them in
+    with :meth:`absorb`.  The entry is mutated in place, only under
+    the owning server's lock.
     """
 
     matches: tuple[ServerMatch, ...]
@@ -192,6 +204,31 @@ class CachedPostings:
     #: instead of re-decoding score fields.  ``None`` when the server
     #: cannot rank or caching is off.
     by_file: dict[str, int] | None = None
+    #: Appended ciphertexts not yet decrypted, in list order.
+    pending: tuple[bytes, ...] = ()
+
+    def absorb(self, fresh: Sequence[ServerMatch]) -> None:
+        """Fold in the decrypted ``pending`` entries and clear them.
+
+        Leaves the entry exactly as a cold fill of the extended list
+        would build it: ``fresh`` follows ``matches`` in list order,
+        and each fresh match lands in ``ranked`` after every match
+        with an equal or higher score — ``rank_all``'s tie-break
+        toward earlier entries.
+        """
+        self.pending = ()
+        if not fresh:
+            return
+        self.matches += tuple(fresh)
+        if self.ranked is not None:
+            ranked = list(self.ranked)
+            for match in fresh:
+                bisect.insort_right(ranked, match, key=_descending_opm)
+            self.ranked = tuple(ranked)
+        if self.by_file is not None:
+            self.by_file.update(
+                (match.file_id, match.opm_value()) for match in fresh
+            )
 
 
 class CloudServer:
@@ -209,7 +246,8 @@ class CloudServer:
         The outsourced index ``I`` — an in-memory
         :class:`SecureIndex` or any object with the same server-side
         surface (``layout`` / ``padded_length`` / ``lookup`` /
-        ``add_list`` / ``replace_list`` / ``items`` / ``num_lists`` /
+        ``__contains__`` / ``add_list`` / ``replace_list`` /
+        ``append_entries`` / ``items`` / ``num_lists`` /
         ``size_bytes``), e.g. a lazy ``mmap``-backed
         :class:`~repro.cloud.store.PackedStore` whose cold lookups
         touch only the queried posting block before feeding the same
@@ -393,6 +431,11 @@ class CloudServer:
         a re-put of an identical blob acks, and removing an absent
         blob acks.  Conflicting re-puts are still an error — that is
         a protocol violation, not a retry.
+
+        An append to an existing list goes through the store's
+        ``append_entries`` (a packed store logs only the new entries)
+        and keeps the list's warm cache entry, queueing the appended
+        ciphertexts on it; a replace or a new list drops the entry.
         """
         from repro.cloud.updates import (
             AckResponse,
@@ -405,28 +448,22 @@ class CloudServer:
         if kind == "update-list":
             request = UpdateListRequest.from_bytes(request_bytes)
             check_token(self._update_token, request.token)
-            existing = self._index.lookup(request.address)
+            exists = request.address in self._index
+            if request.mode == "append" and exists:
+                fresh = self._index.append_entries(
+                    request.address, list(request.entries)
+                )
+                if not fresh:
+                    return AckResponse(ok=True, detail="already applied")
+                if self._cache is not None:
+                    cached = self._cache.peek(request.address)
+                    if cached is not None:
+                        cached.pending += tuple(fresh)
+                return AckResponse(ok=True)
             if request.mode == "append":
-                if existing is None:
-                    self._index.add_list(
-                        request.address, list(request.entries)
-                    )
-                else:
-                    present = set(existing)
-                    fresh = [
-                        entry
-                        for entry in request.entries
-                        if entry not in present
-                    ]
-                    if not fresh:
-                        return AckResponse(
-                            ok=True, detail="already applied"
-                        )
-                    self._index.replace_list(
-                        request.address, existing + fresh
-                    )
+                self._index.add_list(request.address, list(request.entries))
             else:  # replace
-                if existing is None:
+                if not exists:
                     raise ProtocolError(
                         "cannot replace a posting list that does not exist"
                     )
@@ -506,12 +543,14 @@ class CloudServer:
     def invalidate_cache(self, address: bytes | None = None) -> None:
         """Drop cached decrypted lists.
 
-        An owner pushing index updates must call this (or deploy with
-        ``cache_searches=False``); the update protocol of
-        :mod:`repro.cloud.updates` does it on every list it touches,
-        and the simulated deployment gives the owner a direct handle
-        too.  With an address, only that posting list is dropped;
-        without one, everything goes.
+        An owner changing the hosted index behind the server's back
+        must call this (or deploy with ``cache_searches=False``); the
+        simulated deployment gives the owner a direct handle.  The
+        update protocol of :mod:`repro.cloud.updates` calls it for a
+        replaced list and for a new one; an append to an existing list
+        keeps the entry warm instead (see :class:`CachedPostings`).
+        With an address, only that posting list is dropped; without
+        one, everything goes.
         """
         if self._cache is None:
             return
@@ -560,22 +599,19 @@ class CloudServer:
         pre-sorted by descending OPM value (see
         :class:`CachedPostings`): the sort and every score-field
         decode happen once at fill time, and warm top-k queries are an
-        O(k) slice.
+        O(k) slice.  A warm entry with appended entries pending
+        decrypts only those.
         """
         if self._cache is not None:
             cached = self._cache.get(trapdoor.address)
             if cached is not None:
+                if cached.pending:
+                    cached.absorb(self._decrypt(trapdoor, cached.pending))
                 return cached
         entries = self._index.lookup(trapdoor.address)
-        if entries is None:
-            matches: tuple[ServerMatch, ...] = ()
-        else:
-            matches = tuple(
-                ServerMatch(file_id=file_id, score_field=score_field)
-                for file_id, score_field in decrypt_posting_list(
-                    self._index.layout, trapdoor.list_key, entries
-                )
-            )
+        matches = (
+            self._decrypt(trapdoor, entries) if entries is not None else ()
+        )
         ranked: tuple[ServerMatch, ...] | None = None
         by_file: dict[str, int] | None = None
         if self._cache is not None and self._can_rank:
@@ -594,6 +630,17 @@ class CloudServer:
         if self._cache is not None:
             self._cache.put(trapdoor.address, posting)
         return posting
+
+    def _decrypt(
+        self, trapdoor: Trapdoor, entries: Sequence[bytes]
+    ) -> tuple[ServerMatch, ...]:
+        """Decrypt entries under the trapdoor's list key, dropping dummies."""
+        return tuple(
+            ServerMatch(file_id=file_id, score_field=score_field)
+            for file_id, score_field in decrypt_posting_list(
+                self._index.layout, trapdoor.list_key, entries
+            )
+        )
 
     def _handle_search(self, request: SearchRequest) -> SearchResponse:
         with self._tracer.span("search.trapdoor") as decode_span:

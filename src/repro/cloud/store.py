@@ -46,12 +46,16 @@ Three access paths share the format:
   deterministic dict reference, and the bench's comparison arm).
 
 :class:`PackedStore` stacks mutability on top: an append-only **delta
-log** (same framing) absorbs ``add_list``/``replace_list`` calls from
-the update protocol (:mod:`repro.cloud.updates`), replayed into an
-overlay on reload, and :meth:`PackedStore.compact` folds base + deltas
-into a fresh packed file.  The class presents the full server-side
-``SecureIndex`` surface, so :class:`~repro.cloud.server.CloudServer`
-and :class:`~repro.cloud.cluster.ClusterServer` host it unchanged.
+log** (same framing) absorbs the ``add_list`` / ``replace_list`` /
+``append_entries`` calls of the update protocol
+(:mod:`repro.cloud.updates`) as op 1 (add), op 2 (replace) and op 3
+(append) records — an append record holds only the new entries, so a
+one-entry owner append logs one entry, not the whole list — replayed
+into an overlay on reload, and :meth:`PackedStore.compact` folds
+base + deltas into a fresh packed file.  The class presents the full
+server-side ``SecureIndex`` surface, so
+:class:`~repro.cloud.server.CloudServer` and
+:class:`~repro.cloud.cluster.ClusterServer` host it unchanged.
 """
 
 from __future__ import annotations
@@ -62,10 +66,15 @@ import os
 import tempfile
 import threading
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator
 
 from repro.cloud.protocol import encode_frame
-from repro.core.secure_index import EntryLayout, SecureIndex
+from repro.core.secure_index import (
+    EntryLayout,
+    SecureIndex,
+    check_entry_widths,
+    fresh_entries,
+)
 from repro.crypto.symmetric import random_bytes_like_ciphertext
 from repro.errors import IndexError_, ParameterError
 
@@ -87,6 +96,7 @@ HEADER_BYTES = 48
 #: Delta-log record operations.
 DELTA_ADD = 1
 DELTA_REPLACE = 2
+DELTA_APPEND = 3
 
 #: Default buffered entries before :class:`SpillingPackWriter` spills
 #: a sorted run to disk (bounds builder memory, not corpus size).
@@ -162,15 +172,13 @@ def _parse_header(
     return layout, padded_length, num_lists, table_offset, total_entries
 
 
-def _check_entries(
-    layout: EntryLayout, entries: Sequence[bytes]
-) -> None:
-    width = layout.ciphertext_bytes
-    for entry in entries:
-        if len(entry) != width:
-            raise ParameterError(
-                f"encrypted entry width {len(entry)} != expected {width}"
-            )
+def _fsync_directory(path: Path) -> None:
+    """Make a rename or unlink inside ``path`` durable."""
+    descriptor = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(descriptor)
+    finally:
+        os.close(descriptor)
 
 
 def _pad_entries(
@@ -244,7 +252,7 @@ class PackedIndexWriter:
                 f"(got {address.hex()} after {self._previous.hex()})"
             )
         entries = list(encrypted_entries)
-        _check_entries(self._layout, entries)
+        check_entry_widths(self._layout, entries)
         entries = _pad_entries(
             entries, self._padded_length, self._layout.ciphertext_bytes
         )
@@ -338,7 +346,7 @@ class SpillingPackWriter:
         if address in self._buffer:
             raise IndexError_("duplicate index address")
         entries = list(encrypted_entries)
-        _check_entries(self._layout, entries)
+        check_entry_widths(self._layout, entries)
         entries = _pad_entries(
             entries, self._padded_length, self._layout.ciphertext_bytes
         )
@@ -601,6 +609,9 @@ class PackedIndexStore:
         """All addresses in ascending order (no block bytes touched)."""
         return iter(self._addresses)
 
+    def __contains__(self, address: bytes) -> bool:
+        return address in self._blocks
+
     def lookup(self, address: bytes) -> list[bytes] | None:
         """Decode exactly one posting block out of the map (or None)."""
         located = self._blocks.get(address)
@@ -665,19 +676,29 @@ class PackedStore:
     The full server-side ``SecureIndex`` surface over a packed base
     file.  Reads go to an in-memory overlay first (lists touched by
     updates since the last compaction), then to the lazy ``mmap``
-    base.  Every ``add_list``/``replace_list`` — exactly the calls the
-    update protocol issues — is appended to the **delta log** before
-    the overlay is updated, so reopening the store replays the log and
-    recovers every acknowledged mutation; :meth:`compact` folds base
-    plus overlay into a fresh packed file (written beside, atomically
-    swapped via ``os.replace``) and truncates the log.
+    base.  Every ``add_list`` / ``replace_list`` / ``append_entries``
+    — exactly the calls the update protocol issues — is appended to
+    the **delta log** (and fsynced) before the overlay is updated, so
+    reopening the store replays the log and recovers every
+    acknowledged mutation; :meth:`compact` folds base plus overlay
+    into a fresh packed file (written beside, atomically swapped via
+    ``os.replace``) and removes the log.
 
     Delta-log layout::
 
         magic "RPKD" || u16 version || u16 reserved
-        records: u32 record_length || u8 op (1=add, 2=replace)
+        records: u32 record_length
+                 || u8 op (1=add, 2=replace, 3=append)
                  || u16 address_length || address
                  || u32 entry_count || entries (fixed width)
+
+    An add or replace record holds the whole list; an append record
+    holds only the entries it added.  Replay is idempotent, so a log
+    replayed onto a base that already folded it (a crash inside
+    :meth:`compact`, between the swap and the log unlink) rebuilds the
+    same store: an append skips entries the list already holds
+    (:func:`~repro.core.secure_index.fresh_entries`), and an add of an
+    address the base holds acts as a replace.
 
     Mutations are serialized on an internal lock; the hosting
     :class:`~repro.cloud.server.CloudServer` additionally serializes
@@ -745,11 +766,19 @@ class PackedStore:
                 body[4 + position * width : 4 + (position + 1) * width]
                 for position in range(count)
             ]
-            if op == DELTA_ADD:
-                self._added.add(address)
-            elif op != DELTA_REPLACE:
+            if op == DELTA_APPEND:
+                current = self._current(address)
+                if current is None:
+                    raise IndexError_("delta append to a missing address")
+                self._overlay[address] = current + fresh_entries(
+                    current, entries
+                )
+            elif op in (DELTA_ADD, DELTA_REPLACE):
+                if op == DELTA_ADD and address not in self._base:
+                    self._added.add(address)
+                self._overlay[address] = entries
+            else:
                 raise IndexError_(f"unknown delta op {op}")
-            self._overlay[address] = entries
             self._pending_records += 1
 
     def _append_record(
@@ -770,6 +799,13 @@ class PackedStore:
         self._delta.flush()
         os.fsync(self._delta.fileno())
         self._pending_records += 1
+
+    def _current(self, address: bytes) -> list[bytes] | None:
+        """The list at ``address``: the overlay's, else the base's."""
+        overlaid = self._overlay.get(address)
+        if overlaid is not None:
+            return overlaid
+        return self._base.lookup(address)
 
     @property
     def pending_delta_records(self) -> int:
@@ -821,10 +857,7 @@ class PackedStore:
         return self._base.lookup(address)
 
     def __contains__(self, address: bytes) -> bool:
-        return (
-            address in self._overlay
-            or self._base.lookup(address) is not None
-        )
+        return address in self._overlay or address in self._base
 
     def add_list(
         self, address: bytes, encrypted_entries: list[bytes]
@@ -833,7 +866,7 @@ class PackedStore:
         with self._lock:
             if address in self:
                 raise IndexError_("duplicate index address")
-            _check_entries(self.layout, encrypted_entries)
+            check_entry_widths(self.layout, encrypted_entries)
             entries = _pad_entries(
                 list(encrypted_entries),
                 self.padded_length,
@@ -850,10 +883,29 @@ class PackedStore:
         with self._lock:
             if address not in self:
                 raise IndexError_("cannot replace a missing address")
-            _check_entries(self.layout, encrypted_entries)
+            check_entry_widths(self.layout, encrypted_entries)
             entries = list(encrypted_entries)
             self._append_record(DELTA_REPLACE, address, entries)
             self._overlay[address] = entries
+
+    def append_entries(
+        self, address: bytes, encrypted_entries: list[bytes]
+    ) -> list[bytes]:
+        """Append to an existing list, logging only the new entries.
+
+        Entries the list already holds are skipped (a re-sent append
+        logs nothing); returns the entries actually appended.
+        """
+        with self._lock:
+            check_entry_widths(self.layout, encrypted_entries)
+            current = self._current(address)
+            if current is None:
+                raise IndexError_("cannot append to a missing address")
+            fresh = fresh_entries(current, encrypted_entries)
+            if fresh:
+                self._append_record(DELTA_APPEND, address, fresh)
+                self._overlay[address] = current + fresh
+            return fresh
 
     def items(self) -> Iterator[tuple[bytes, list[bytes]]]:
         """All lists in address order (overlay shadowing the base)."""
@@ -893,9 +945,13 @@ class PackedStore:
         """Fold base + deltas into a fresh packed file; returns records folded.
 
         Writes the merged index to a sibling temporary file, swaps it
-        over the base with ``os.replace`` (atomic on POSIX), truncates
+        over the base with ``os.replace`` (atomic on POSIX), removes
         the delta log, and reopens the ``mmap`` — readers of *this*
-        store see the same logical contents before and after.
+        store see the same logical contents before and after.  The
+        directory is fsynced after the swap and after the removal; a
+        crash between the two leaves the folded log beside the new
+        base, which replays onto it idempotently (see the class
+        docstring).
         """
         with self._lock:
             folded = self._pending_records
@@ -911,8 +967,10 @@ class PackedStore:
                     writer.write_list(address, entries)
             self._base.close()
             os.replace(compact_path, self._packed_path)
+            _fsync_directory(self._packed_path.parent)
             self._delta.close()
             self._delta_path.unlink(missing_ok=True)
+            _fsync_directory(self._delta_path.parent)
             self._delta = self._delta_path.open("ab")
             self._base = PackedIndexStore(self._packed_path)
             self._overlay = {}

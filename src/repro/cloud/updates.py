@@ -8,8 +8,9 @@ separated by a network; this module carries the updates across it:
   file blob), authenticated by an **update token** shared between
   owner and server at provisioning — search trapdoors must not grant
   write access;
-* server-side handling that applies updates and invalidates the
-  affected search-cache lines;
+* server-side handling that applies updates: an append to an existing
+  list queues the new ciphertexts on its warm search-cache line, a
+  replace or a new list invalidates the line;
 * :class:`RemoteIndexMaintainer`, the owner-side driver that turns
   "insert/remove this document" into the minimal message sequence —
   still **zero remapped entries** for insertions, now end to end.

@@ -26,7 +26,7 @@ from __future__ import annotations
 import bisect
 import json
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.crypto.prf import Prf
 from repro.crypto.symmetric import SymmetricCipher, random_bytes_like_ciphertext
@@ -125,6 +125,31 @@ class EntryLayout:
         return file_id, plaintext[self.zero_pad_bytes + self.file_id_bytes :]
 
 
+def check_entry_widths(layout: EntryLayout, entries: Iterable[bytes]) -> None:
+    """Reject any entry that is not exactly one ciphertext wide."""
+    width = layout.ciphertext_bytes
+    for entry in entries:
+        if len(entry) != width:
+            raise ParameterError(
+                f"encrypted entry width {len(entry)} != expected {width}"
+            )
+
+
+def fresh_entries(
+    existing: Iterable[bytes], entries: Iterable[bytes]
+) -> list[bytes]:
+    """The entries of ``entries`` that ``existing`` does not hold.
+
+    The append idempotence rule shared by every index store and by
+    delta-log replay.  Exact-duplicate detection is sound because
+    entry encryption is SIV-deterministic (:func:`encrypt_entry`) and
+    file ids are unique within a list: re-sending an entry yields the
+    same bytes, and two different entries never collide.
+    """
+    present = set(existing)
+    return [entry for entry in entries if entry not in present]
+
+
 class AddressTree:
     """Ordered map from addresses to entry lists (server-side lookup).
 
@@ -213,16 +238,15 @@ class SecureIndex:
         """Number of posting lists (``m`` when one per keyword)."""
         return len(self._tree)
 
+    def __contains__(self, address: bytes) -> bool:
+        return address in self._tree
+
     # -- owner-side construction ----------------------------------------
 
     def add_list(self, address: bytes, encrypted_entries: list[bytes]) -> None:
         """Store one posting list, padding with dummies if configured."""
+        check_entry_widths(self._layout, encrypted_entries)
         width = self._layout.ciphertext_bytes
-        for entry in encrypted_entries:
-            if len(entry) != width:
-                raise ParameterError(
-                    f"encrypted entry width {len(entry)} != expected {width}"
-                )
         entries = list(encrypted_entries)
         if self._padded_length is not None:
             if len(entries) > self._padded_length:
@@ -236,13 +260,25 @@ class SecureIndex:
 
     def replace_list(self, address: bytes, encrypted_entries: list[bytes]) -> None:
         """Owner-side update of one list (score-dynamics path)."""
-        width = self._layout.ciphertext_bytes
-        for entry in encrypted_entries:
-            if len(entry) != width:
-                raise ParameterError(
-                    f"encrypted entry width {len(entry)} != expected {width}"
-                )
+        check_entry_widths(self._layout, encrypted_entries)
         self._tree.replace(address, list(encrypted_entries))
+
+    def append_entries(
+        self, address: bytes, encrypted_entries: list[bytes]
+    ) -> list[bytes]:
+        """Append entries to an existing list; returns those appended.
+
+        Entries the list already holds are skipped, so a re-sent
+        append is a no-op (see :func:`fresh_entries`).
+        """
+        check_entry_widths(self._layout, encrypted_entries)
+        existing = self._tree.lookup(address)
+        if existing is None:
+            raise IndexError_("cannot append to a missing address")
+        fresh = fresh_entries(existing, encrypted_entries)
+        if fresh:
+            self._tree.replace(address, existing + fresh)
+        return fresh
 
     # -- server-side access -----------------------------------------------
 
@@ -399,7 +435,7 @@ def try_decrypt_entry(
 
 
 def decrypt_posting_list(
-    layout: EntryLayout, list_key: bytes, encrypted_entries: list[bytes]
+    layout: EntryLayout, list_key: bytes, encrypted_entries: Iterable[bytes]
 ) -> list[tuple[str, bytes]]:
     """Decrypt a whole posting list, dropping dummies (server hot path)."""
     cipher = SymmetricCipher(list_key)

@@ -145,8 +145,11 @@ def intersect_sums(
     """
     if not per_term:
         raise ParameterError("need at least one score map")
-    smallest = min(per_term, key=len)
-    others = [m for m in per_term if m is not smallest]
+    # Exclude the smallest map by position, not identity: a repeated
+    # term may hand in the same map object twice, and it counts twice.
+    position = min(range(len(per_term)), key=lambda i: len(per_term[i]))
+    smallest = per_term[position]
+    others = [m for i, m in enumerate(per_term) if i != position]
     pairs: list[tuple[str, int]] = []
     for item_id in sorted(smallest):
         total = smallest[item_id]

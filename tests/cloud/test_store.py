@@ -355,6 +355,107 @@ class TestPackedStoreDeltas:
         with PackedStore(path) as store:
             assert store.lookup(b"uncompacted") == entries
 
+    def test_append_logs_only_new_entries(self, base):
+        path, lists = base
+        victim = sorted(lists)[2]
+        delta = path.with_name(path.name + ".delta")
+        added = make_entries(random.Random(23), 2)
+        with PackedStore(path) as store:
+            store.add_list(b"warm-up", make_entries(random.Random(3), 1))
+            logged = delta.stat().st_size
+            fresh = store.append_entries(victim, lists[victim][:1] + added)
+            assert fresh == added
+            # u32 length || op || u16 + address || u32 count || entries
+            record = 4 + 1 + 2 + len(victim) + 4 + len(added) * WIDTH
+            assert delta.stat().st_size == logged + record
+            assert store.append_entries(victim, added) == []
+            assert delta.stat().st_size == logged + record
+            assert store.lookup(victim) == lists[victim] + added
+            live = dict(store.items())
+        with PackedStore(path) as store:
+            assert dict(store.items()) == live
+
+    @pytest.mark.parametrize("kind", ("dict", "sharded", "packed"))
+    def test_append_entries_parity_across_stores(self, base, kind):
+        path, lists = base
+        if kind == "packed":
+            store = PackedStore(path)
+        else:
+            store = SecureIndex(LAYOUT)
+            for address in sorted(lists):
+                store.add_list(address, list(lists[address]))
+            if kind == "sharded":
+                store = ShardedIndex.from_secure_index(store, 3)
+        victim = sorted(lists)[0]
+        added = make_entries(random.Random(29), 2)
+        assert store.append_entries(victim, lists[victim] + added) == added
+        assert store.append_entries(victim, added) == []
+        assert store.lookup(victim) == lists[victim] + added
+        with pytest.raises(IndexError_, match="missing"):
+            store.append_entries(b"ghost", added)
+        with pytest.raises(ParameterError, match="width"):
+            store.append_entries(victim, [b"\x00" * (WIDTH - 1)])
+        if kind == "packed":
+            store.close()
+
+    def test_compaction_crash_window_replays_to_same_store(self, base):
+        """A crash after the swap but before the log unlink is harmless.
+
+        The folded log then sits beside the compacted base; replaying
+        it must rebuild exactly the live store — no duplicated append
+        entries, no double-counted added lists.
+        """
+        path, lists = base
+        rng = random.Random(31)
+        delta = path.with_name(path.name + ".delta")
+        addresses = sorted(lists)
+        with PackedStore(path) as store:
+            store.add_list(b"crash-new", make_entries(rng, 2))
+            store.append_entries(b"crash-new", make_entries(rng, 1))
+            store.append_entries(addresses[0], make_entries(rng, 2))
+            store.replace_list(addresses[1], make_entries(rng, 3))
+            store.append_entries(addresses[1], make_entries(rng, 1))
+            folded_log = delta.read_bytes()
+            store.compact()
+            live = dict(store.items())
+            num_lists = store.num_lists
+            size = store.size_bytes()
+        delta.write_bytes(folded_log)
+        with PackedStore(path) as reopened:
+            assert dict(reopened.items()) == live
+            assert reopened.num_lists == num_lists
+            assert reopened.size_bytes() == size
+
+    def test_log_of_add_and_replace_records_still_replays(self, base):
+        """A log with only op 1/2 records (no appends) reads as before."""
+        path, lists = base
+        rng = random.Random(37)
+        victim = sorted(lists)[3]
+        added, replaced = make_entries(rng, 2), make_entries(rng, 1)
+
+        def record(op, address, entries):
+            body = (
+                bytes([op]) + len(address).to_bytes(2, "big") + address
+                + len(entries).to_bytes(4, "big") + b"".join(entries)
+            )
+            return len(body).to_bytes(4, "big") + body
+
+        path.with_name(path.name + ".delta").write_bytes(
+            b"RPKD\x00\x01\x00\x00"
+            + record(1, b"logged-new", added)
+            + record(2, victim, replaced)
+        )
+        with PackedStore(path) as store:
+            assert store.pending_delta_records == 2
+            assert store.lookup(b"logged-new") == added
+            assert store.lookup(victim) == replaced
+            assert store.num_lists == len(lists) + 1
+            expected = {**lists, b"logged-new": added, victim: replaced}
+            assert dict(store.items()) == expected
+            assert store.size_bytes() == WIDTH * sum(
+                len(entries) for entries in expected.values()
+            )
+
     def test_truncated_delta_log_rejected(self, base):
         path, lists = base
         with PackedStore(path) as store:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import ParameterError
-from repro.ir.topk import rank_all, top_k
+from repro.ir.topk import intersect_sums, rank_all, top_k
 
 
 class TestTopK:
@@ -74,3 +74,13 @@ class TestRankAll:
 
     def test_empty(self):
         assert rank_all([], key=lambda v: v) == []
+
+
+class TestIntersectSums:
+    def test_repeated_map_object_counts_per_term(self):
+        # A warm server hands in the same cached map for a repeated
+        # term; a cold one builds two equal maps.  Both must agree.
+        scores = {"a": 3, "b": 5}
+        assert intersect_sums([scores, scores]) == intersect_sums(
+            [dict(scores), dict(scores)]
+        ) == [("a", 6), ("b", 10)]
